@@ -72,6 +72,25 @@ def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
     return FdSet(tuple(singles), tuple(universe))
 
 
+def _fixpoint(seed: Iterable[str], pairs: Sequence[tuple[frozenset[str], str]]) -> set[str]:
+    """The closure kernel: least superset of ``seed`` closed under ``pairs``.
+
+    ``pairs`` holds ``(lhs, rhs)`` dependencies and is scanned once per
+    pass until a pass adds nothing.  Every closure in the package runs
+    here: :func:`closure`, :func:`minimal_cover` and the verifier's
+    preservation test.
+    """
+    reach = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in pairs:
+            if rhs not in reach and lhs <= reach:
+                reach.add(rhs)
+                changed = True
+    return reach
+
+
 def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     """Least fixpoint of ``attrs`` under ``fds``.
 
@@ -82,15 +101,7 @@ def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     missing = start - set(fds.universe)
     if missing:
         raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
-    reach = start
-    changed = True
-    while changed:
-        changed = False
-        for fd in fds:
-            if fd.rhs not in reach and fd.lhs <= reach:
-                reach.add(fd.rhs)
-                changed = True
-    return frozenset(reach)
+    return frozenset(_fixpoint(start, [(fd.lhs, fd.rhs) for fd in fds]))
 
 
 def implies(fds: FdSet, candidate: FunctionalDependency) -> bool:
@@ -111,50 +122,23 @@ def minimal_cover(fds: FdSet) -> FdSet:
     surviving set.  Survivors keep their input order.
     """
     position = {name: i for i, name in enumerate(fds.universe)}
-    work: list[tuple[set[str], str]] = [(set(fd.lhs), fd.rhs) for fd in fds]
-    removed: set[int] = set()
+    work: list[tuple[frozenset[str], str]] = [(fd.lhs, fd.rhs) for fd in fds]
 
-    def reachable(seed: set[str]) -> set[str]:
-        reach = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for idx, (lhs, rhs) in enumerate(work):
-                if idx in removed:
-                    continue
-                if rhs not in reach and lhs <= reach:
-                    reach.add(rhs)
-                    changed = True
-        return reach
-
-    for lhs, rhs in work:
-        if len(lhs) < 2:
-            continue
+    for idx, (lhs, rhs) in enumerate(work):
         for attr in sorted(lhs, key=position.__getitem__):
             if len(lhs) < 2:
                 break
             reduced = lhs - {attr}
-            if rhs in reachable(reduced):
-                lhs.discard(attr)
+            if rhs in _fixpoint(reduced, work):
+                lhs = reduced
+                work[idx] = (lhs, rhs)
 
-    seen: set[tuple[frozenset[str], str]] = set()
-    for idx, (lhs, rhs) in enumerate(work):
-        key = (frozenset(lhs), rhs)
-        if key in seen:
-            removed.add(idx)
-        else:
-            seen.add(key)
+    work = list(dict.fromkeys(work))
+    idx = 0
+    while idx < len(work):
+        lhs, rhs = work.pop(idx)
+        if rhs not in _fixpoint(lhs, work):
+            work.insert(idx, (lhs, rhs))
+            idx += 1
 
-    for idx, (lhs, rhs) in enumerate(work):
-        if idx in removed:
-            continue
-        removed.add(idx)
-        if rhs not in reachable(lhs):
-            removed.discard(idx)
-
-    survivors = tuple(
-        FunctionalDependency(frozenset(lhs), rhs)
-        for idx, (lhs, rhs) in enumerate(work)
-        if idx not in removed
-    )
-    return FdSet(survivors, fds.universe)
+    return FdSet(tuple(FunctionalDependency(lhs, rhs) for lhs, rhs in work), fds.universe)

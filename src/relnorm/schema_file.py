@@ -14,7 +14,6 @@ node sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttributeInFd
 from .fd_engine import RawFd
@@ -22,12 +21,6 @@ from .normalizer import RawAttribute, RawKind, RawSchema
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _COMPOSITE = re.compile(r"composite\(([^()]*)\)")
-
-
-@dataclass(frozen=True)
-class SchemaDocument:
-    source: str
-    schema: RawSchema
 
 
 def _require_identifier(lineno: int, token: str, what: str) -> str:
@@ -128,10 +121,6 @@ def parse_schema_file(text: str) -> RawSchema:
             if name not in known:
                 raise UnknownAttributeInFd(f"line {lineno}: undeclared attribute {name!r}")
     return RawSchema(relation, tuple(attributes), tuple(fd for _, fd in fd_entries))
-
-
-def parse_document(text: str) -> SchemaDocument:
-    return SchemaDocument(source=text, schema=parse_schema_file(text))
 
 
 def format_schema(schema: RawSchema) -> str:

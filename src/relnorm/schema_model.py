@@ -141,12 +141,6 @@ class SchemaList:
                 return node
         return None
 
-    def node_by_id(self, node_id: int) -> AttributeNode | None:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        return None
-
     def add_attribute(
         self,
         name: str,
@@ -200,13 +194,13 @@ class SchemaList:
             raise LhsTooLarge(
                 f"left-hand side of size {len(fd.lhs)} exceeds limit {self.limits.max_lhs}"
             )
-        ids = []
+        determiners = []
         for name in fd.lhs:
             node = self.find_node(name)
             if node is None:
                 raise UnknownAttribute(f"determiner attribute {name!r} not in relation")
-            ids.append(node.node_id)
-        slot = frozenset(ids)
+            determiners.append(node)
+        slot = frozenset(node.node_id for node in determiners)
         if slot in target.determiner_slots:
             return
         if len(target.determiner_slots) >= self.limits.max_determiners:
@@ -214,9 +208,7 @@ class SchemaList:
                 f"attribute {fd.rhs!r} already has {self.limits.max_determiners} determiners"
             )
         target.determiner_slots.append(slot)
-        for name in fd.lhs:
-            node = self.find_node(name)
-            assert node is not None
+        for node in determiners:
             node.is_determiner = True
 
     def stored_fds(self) -> list[FunctionalDependency]:

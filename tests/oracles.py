@@ -82,3 +82,32 @@ def has_extraneous_lhs_attribute(fds: FdSet) -> bool:
             if mask_closure(reduced, rules, width) & (1 << index[fd.rhs]):
                 return True
     return False
+
+
+def brute_preserves(fds: FdSet, tables) -> bool:
+    """Exhaustive dependency-preservation test.
+
+    ``tables`` holds one collection of attribute names per table.  Each
+    table's projection is built by closing every non-empty subset of its
+    attributes; every dependency must then follow from the union of the
+    projections.
+    """
+    width = len(fds.universe)
+    index = {name: i for i, name in enumerate(fds.universe)}
+    rules = compile_rules(fds, fds.universe)
+    projected = []
+    for attrs in tables:
+        table_mask = 0
+        for name in attrs:
+            table_mask |= 1 << index[name]
+        subset = table_mask
+        while subset:
+            gained = mask_closure(subset, rules, width) & table_mask & ~subset
+            for bit in range(width):
+                if gained & (1 << bit):
+                    projected.append((subset, 1 << bit))
+            subset = (subset - 1) & table_mask
+    return all(
+        mask_closure(lhs_mask, projected, width) & rhs_bit == rhs_bit
+        for lhs_mask, rhs_bit in rules
+    )

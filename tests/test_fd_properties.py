@@ -5,12 +5,15 @@ from hypothesis import assume, given, settings
 
 from oracles import (
     brute_closure,
+    brute_preserves,
     equivalent_on_all_subsets,
     has_extraneous_lhs_attribute,
     has_redundant_fd,
 )
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
+from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency, SchemaList
+from relnorm.verifier import preserves_dependencies
 
 UNIVERSE = tuple("abcdef")
 
@@ -110,3 +113,25 @@ def test_schema_list_round_trips_a_cover(fds):
     expected = {(fd.lhs, fd.rhs) for fd in cover}
     assert got == expected
     assert len(sl.stored_fds()) == len(cover)
+
+
+@st.composite
+def covering_tables(draw, universe):
+    """One to four tables, each non-empty, whose union is ``universe``."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    tables = [set(draw(st.sets(st.sampled_from(universe), min_size=1))) for _ in range(count)]
+    for name in universe:
+        if not any(name in t for t in tables):
+            tables[draw(st.integers(min_value=0, max_value=count - 1))].add(name)
+    return [
+        TableStructure(f"t{i}", sorted(attrs), sorted(attrs)[:1]) for i, attrs in enumerate(tables)
+    ]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_preserves_dependencies_matches_exhaustive_projection(data):
+    fds = data.draw(fd_sets())
+    tables = data.draw(covering_tables(fds.universe))
+    expected = brute_preserves(fds, [t.attributes for t in tables])
+    assert preserves_dependencies(fds, tables) == expected

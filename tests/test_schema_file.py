@@ -9,7 +9,7 @@ from relnorm.errors import (
 )
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import RawKind
-from relnorm.schema_file import format_schema, parse_document, parse_schema_file
+from relnorm.schema_file import format_schema, parse_schema_file
 
 EMPLOYEE_DOC = """\
 # employees with job classes
@@ -100,11 +100,6 @@ class TestRoundTrip:
         for name in corpus.corpus_names():
             schema = corpus.load(name)
             assert parse_schema_file(format_schema(schema)) == schema
-
-    def test_document_keeps_source(self):
-        doc = parse_document(EMPLOYEE_DOC)
-        assert doc.source == EMPLOYEE_DOC
-        assert doc.schema.relation_name == "Employee"
 
 
 class TestCorpusFixtures:
