@@ -2,7 +2,8 @@
 
 Columns carry no type information upstream, so every column is emitted as
 ``VARCHAR(255)``.  Statements are ordered so that every referenced table is
-created before its referencer; ties keep input order.  Output is
+created before its referencer: tables are emitted by depth, the length of
+their longest chain of references, and ties keep input order.  Output is
 byte-deterministic for a given input.
 """
 
@@ -44,25 +45,33 @@ def _render(table: TableStructure, by_name: dict[str, TableStructure]) -> str:
 def emit_ddl(tables: Sequence[TableStructure]) -> DdlScript:
     """Render one CREATE TABLE statement per table, referenced-first."""
     by_name = {t.name: t for t in tables}
-    for table in tables:
+    # One Kahn pass over table names.  A table's depth is the length of its
+    # longest chain of references.  A name counts as created with its first
+    # table, which releases the name's referencers; a FIFO queue meets
+    # tables in nondecreasing depth.
+    referencers: dict[str, list[int]] = {}
+    waiting = [0] * len(tables)
+    for i, table in enumerate(tables):
         for fk in table.foreign_keys:
             if fk.references not in by_name:
                 raise DanglingForeignKey(
                     f"table {table.name!r} references unknown table {fk.references!r}"
                 )
-    emitted: list[TableStructure] = []
-    done: set[str] = set()
-    remaining = list(tables)
-    while remaining:
-        ready = [
-            t for t in remaining
-            if all(fk.references in done for fk in t.foreign_keys)
-        ]
-        if not ready:
-            names = ", ".join(t.name for t in remaining)
-            raise CyclicReference(f"foreign keys form a cycle among: {names}")
-        for table in ready:
-            emitted.append(table)
-            done.add(table.name)
-        remaining = [t for t in remaining if t not in ready]
-    return DdlScript(tuple(_render(t, by_name) for t in emitted))
+            waiters = referencers.setdefault(fk.references, [])
+            if not waiters or waiters[-1] != i:  # one wait per referenced name
+                waiters.append(i)
+                waiting[i] += 1
+    depth = [0] * len(tables)
+    queue = [i for i, count in enumerate(waiting) if not count]
+    for i in queue:
+        for j in referencers.pop(tables[i].name, ()):
+            depth[j] = depth[i] + 1
+            waiting[j] -= 1
+            if not waiting[j]:
+                queue.append(j)
+    if len(queue) < len(tables):
+        emitted = set(queue)
+        names = ", ".join(t.name for i, t in enumerate(tables) if i not in emitted)
+        raise CyclicReference(f"foreign keys form a cycle among: {names}")
+    order = sorted(range(len(tables)), key=depth.__getitem__)
+    return DdlScript(tuple(_render(tables[i], by_name) for i in order))

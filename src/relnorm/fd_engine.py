@@ -1,15 +1,21 @@
 """Functional-dependency algebra: closure, implication, canonical cover.
 
-All operations are pure functions over immutable values.  An ``FdSet``
-fixes the attribute universe and keeps its dependencies in input order;
-every derived ordering here is stable with respect to that order, so
-results are deterministic for a given input.
+All public operations are pure functions over immutable values.  An
+``FdSet`` fixes the attribute universe and keeps its dependencies in input
+order; every derived ordering here is stable with respect to that order,
+so results are deterministic for a given input.
+
+Every attribute-set closure in the package runs on one kernel,
+:class:`_Kernel`, the counter-based closure of Beeri and Bernstein.
+:func:`minimal_cover` builds it once and edits it in place between the
+thousands of closures a cover can need.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import UnknownAttribute
 from .schema_model import FunctionalDependency
@@ -41,8 +47,8 @@ class FdSet:
         seen: set[FunctionalDependency] = set()
         unique: list[FunctionalDependency] = []
         for fd in self.fds:
-            missing = (set(fd.lhs) | {fd.rhs}) - known
-            if missing:
+            if fd.rhs not in known or not fd.lhs <= known:
+                missing = (fd.lhs | {fd.rhs}) - known
                 raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
             if fd not in seen:
                 seen.add(fd)
@@ -72,23 +78,79 @@ def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
     return FdSet(tuple(singles), tuple(universe))
 
 
-def _fixpoint(seed: Iterable[str], pairs: Sequence[tuple[frozenset[str], str]]) -> set[str]:
-    """The closure kernel: least superset of ``seed`` closed under ``pairs``.
+class _Kernel:
+    """The closure kernel: a counter-based closure over dependencies
+    (Beeri & Bernstein, TODS 1979).
 
-    ``pairs`` holds ``(lhs, rhs)`` dependencies and is scanned once per
-    pass until a pass adds nothing.  Every closure in the package runs
-    here: :func:`closure`, :func:`minimal_cover` and the verifier's
-    preservation test.
+    The index is built once: for each attribute, the pairs (dependencies)
+    whose left-hand side holds it, and for each right-hand attribute, how
+    many live pairs produce it.  A closure walks the attributes it
+    reaches, counting down a per-pair missing count (kept only for the
+    pairs it touches) and firing a pair when its count reaches zero, so
+    one closure costs time linear in the pairs it touches.  Asked about a
+    goal attribute, it stops on reaching it, and answers at once when no
+    live pair produces it.  Callers may edit the pairs between closures
+    with :meth:`drop_lhs_attr` and :meth:`set_live`; the index follows
+    every edit.
     """
-    reach = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in pairs:
-            if rhs not in reach and lhs <= reach:
-                reach.add(rhs)
-                changed = True
-    return reach
+
+    def __init__(self, fds: Iterable[FunctionalDependency]) -> None:
+        lhs_of: list[frozenset[str]] = []
+        rhs_of: list[str] = []
+        users: defaultdict[str, list[int]] = defaultdict(list)
+        producers: defaultdict[str, int] = defaultdict(int)
+        for i, fd in enumerate(fds):
+            lhs_of.append(fd.lhs)
+            rhs_of.append(fd.rhs)
+            for name in fd.lhs:
+                users[name].append(i)
+            producers[fd.rhs] += 1
+        # pair i is the i-th dependency, as (lhs[i], rhs[i])
+        self.lhs, self.rhs, self.users, self.producers = lhs_of, rhs_of, users, producers
+        self.width = [len(lhs) for lhs in lhs_of]
+        self.live = [True] * len(rhs_of)
+
+    def drop_lhs_attr(self, i: int, name: str) -> None:
+        """Remove ``name`` from the left-hand side of pair ``i``."""
+        self.lhs[i] = self.lhs[i] - {name}
+        self.width[i] -= 1
+        self.users[name].remove(i)
+
+    def set_live(self, i: int, live: bool) -> None:
+        """Mark pair ``i`` live or dead; dead pairs never fire."""
+        if self.live[i] != live:
+            self.live[i] = live
+            self.producers[self.rhs[i]] += 1 if live else -1
+
+    def close(self, seed: AbstractSet[str], goal: str | None = None) -> AbstractSet[str]:
+        """Closure of ``seed`` under the live pairs.
+
+        With a ``goal``, the walk stops as soon as the goal is reached, and
+        returns ``seed`` itself when no live pair produces the goal; the
+        result then decides only whether the goal is in the closure.
+        """
+        if goal is not None and (goal in seed or not self.producers[goal]):
+            return seed
+        rhs, live, width, users = self.rhs, self.live, self.width, self.users
+        reach = set(seed)
+        missing: dict[int, int] = {}
+        stack = list(reach)
+        for name in stack:
+            for i in users[name]:
+                if not live[i]:
+                    continue
+                left = width[i]
+                if left > 1:
+                    left = missing[i] = missing.get(i, left) - 1
+                    if left:
+                        continue
+                gained = rhs[i]
+                if gained not in reach:
+                    reach.add(gained)
+                    if gained == goal:
+                        return reach
+                    stack.append(gained)
+        return reach
 
 
 def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
@@ -101,7 +163,7 @@ def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     missing = start - set(fds.universe)
     if missing:
         raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
-    return frozenset(_fixpoint(start, [(fd.lhs, fd.rhs) for fd in fds]))
+    return frozenset(_Kernel(fds).close(start))
 
 
 def implies(fds: FdSet, candidate: FunctionalDependency) -> bool:
@@ -122,23 +184,37 @@ def minimal_cover(fds: FdSet) -> FdSet:
     surviving set.  Survivors keep their input order.
     """
     position = {name: i for i, name in enumerate(fds.universe)}
-    work: list[tuple[frozenset[str], str]] = [(fd.lhs, fd.rhs) for fd in fds]
+    kernel = _Kernel(fds)
+    lhs_of, rhs_of = kernel.lhs, kernel.rhs
 
-    for idx, (lhs, rhs) in enumerate(work):
+    for i, lhs in enumerate(lhs_of):
+        rhs = rhs_of[i]
         for attr in sorted(lhs, key=position.__getitem__):
             if len(lhs) < 2:
                 break
-            reduced = lhs - {attr}
-            if rhs in _fixpoint(reduced, work):
-                lhs = reduced
-                work[idx] = (lhs, rhs)
+            # When this pair alone produces rhs, rhs follows from the
+            # reduced side iff the dropped attribute does.
+            goal = attr if kernel.producers[rhs] == 1 else rhs
+            if goal in kernel.close(lhs - {attr}, goal):
+                kernel.drop_lhs_attr(i, attr)
+                lhs = lhs_of[i]
 
-    work = list(dict.fromkeys(work))
-    idx = 0
-    while idx < len(work):
-        lhs, rhs = work.pop(idx)
-        if rhs not in _fixpoint(lhs, work):
-            work.insert(idx, (lhs, rhs))
-            idx += 1
+    # exact duplicates left by the reduction: the first copy stays
+    first: dict[tuple[frozenset[str], str], int] = {}
+    for i, pair in enumerate(zip(lhs_of, rhs_of)):
+        if first.setdefault(pair, i) != i:
+            kernel.set_live(i, False)
+    # set each survivor aside; restore it unless the others still imply it
+    for i in first.values():
+        kernel.set_live(i, False)
+        if rhs_of[i] not in kernel.close(lhs_of[i], rhs_of[i]):
+            kernel.set_live(i, True)
 
-    return FdSet(tuple(FunctionalDependency(lhs, rhs) for lhs, rhs in work), fds.universe)
+    return FdSet(
+        tuple(
+            fd if fd.lhs is lhs_of[i] else FunctionalDependency(lhs_of[i], fd.rhs)
+            for i, fd in enumerate(fds)
+            if kernel.live[i]
+        ),
+        fds.universe,
+    )

@@ -105,10 +105,8 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     def expand(names: tuple[str, ...]) -> tuple[str, ...]:
         out: list[str] = []
         for name in names:
-            for repl in replacement.get(name, (name,)):
-                if repl not in out:
-                    out.append(repl)
-        return tuple(out)
+            out.extend(replacement.get(name, (name,)))
+        return tuple(dict.fromkeys(out))
 
     rewritten = tuple(RawFd(expand(fd.lhs), expand(fd.rhs)) for fd in raw.declared_fds)
     return RawSchema(raw.relation_name, tuple(flat), rewritten)
@@ -197,16 +195,9 @@ def classify(schema_list: SchemaList) -> Classification:
     by_id = {node.node_id: node.attribute_name for node in schema_list.nodes}
 
     a1: list[str] = list(primes)
-    a2: list[tuple[frozenset[int], list[str]]] = []
-    a3: list[tuple[frozenset[int], list[str]]] = []
-
-    def file_into(groups: list[tuple[frozenset[int], list[str]]], slot: frozenset[int], name: str) -> None:
-        for det, dependents in groups:
-            if det == slot:
-                if name not in dependents:
-                    dependents.append(name)
-                return
-        groups.append((slot, [name]))
+    # determiner -> dependents, both in first-seen order
+    a2: dict[frozenset[int], dict[str, None]] = {}
+    a3: dict[frozenset[int], dict[str, None]] = {}
 
     for node in schema_list.nodes:
         if node.is_key_attribute:
@@ -218,14 +209,14 @@ def classify(schema_list: SchemaList) -> Classification:
             if slot == prime_ids:
                 a1.append(node.attribute_name)
             elif slot < prime_ids:
-                file_into(a2, slot, node.attribute_name)
+                a2.setdefault(slot, {})[node.attribute_name] = None
             else:
-                file_into(a3, slot, node.attribute_name)
+                a3.setdefault(slot, {})[node.attribute_name] = None
 
-    def freeze(groups: list[tuple[frozenset[int], list[str]]]) -> tuple[DependencyGroup, ...]:
+    def freeze(groups: dict[frozenset[int], dict[str, None]]) -> tuple[DependencyGroup, ...]:
         return tuple(
             DependencyGroup(tuple(by_id[i] for i in sorted(det)), tuple(deps))
-            for det, deps in groups
+            for det, deps in groups.items()
         )
 
     return Classification(
@@ -239,10 +230,21 @@ def classify(schema_list: SchemaList) -> Classification:
     )
 
 
-def _extend_unique(target: list[str], names) -> None:
+def _extend_unique(target: list[str], present: set[str], names) -> None:
+    """Append each of ``names`` not yet in ``target``; ``present`` holds
+    ``target``'s names and is kept up to date."""
     for name in names:
-        if name not in target:
+        if name not in present:
+            present.add(name)
             target.append(name)
+
+
+def _group_table(group: DependencyGroup) -> TableStructure:
+    """A table keyed by the group's determiner: the determiner, then each
+    dependent not yet in it."""
+    attributes = list(group.determiner)
+    _extend_unique(attributes, set(attributes), group.dependents)
+    return TableStructure("_".join(group.determiner), attributes, list(group.determiner))
 
 
 def _unique_names(tables: list[TableStructure]) -> None:
@@ -258,22 +260,9 @@ def _unique_names(tables: list[TableStructure]) -> None:
 
 
 def _base_tables(c: Classification) -> list[TableStructure]:
-    main = TableStructure(
-        name=f"{c.relation_name}_main",
-        attributes=[],
-        primary_key=list(c.prime_attributes),
-    )
-    _extend_unique(main.attributes, c.a1)
-    tables = [main]
-    for group in c.a2:
-        table = TableStructure(
-            name="_".join(group.determiner),
-            attributes=list(group.determiner),
-            primary_key=list(group.determiner),
-        )
-        _extend_unique(table.attributes, group.dependents)
-        tables.append(table)
-    return tables
+    main = TableStructure(f"{c.relation_name}_main", [], list(c.prime_attributes))
+    _extend_unique(main.attributes, set(), c.a1)
+    return [main] + [_group_table(group) for group in c.a2]
 
 
 def decompose_2nf(c: Classification) -> list[TableStructure]:
@@ -286,21 +275,22 @@ def decompose_2nf(c: Classification) -> list[TableStructure]:
     main table together with their determiner attributes.
     """
     tables = _base_tables(c)
-    main = tables[0]
     pending = list(c.a3)
-    changed = True
-    while changed and pending:
-        changed = False
-        for group in list(pending):
-            det = set(group.determiner)
-            hosts = [t for t in tables if det <= set(t.attributes)]
-            if hosts:
-                _extend_unique(hosts[0].attributes, group.dependents)
-                pending.remove(group)
-                changed = True
+    present = [set(t.attributes) for t in tables] if pending else []
+    while pending:
+        waiting = []
+        for group in pending:
+            for host, names in enumerate(present):
+                if names.issuperset(group.determiner):
+                    _extend_unique(tables[host].attributes, names, group.dependents)
+                    break
+            else:
+                waiting.append(group)
+        if len(waiting) == len(pending):
+            break
+        pending = waiting
     for group in pending:
-        _extend_unique(main.attributes, group.determiner)
-        _extend_unique(main.attributes, group.dependents)
+        _extend_unique(tables[0].attributes, present[0], (*group.determiner, *group.dependents))
     _unique_names(tables)
     return tables
 
@@ -316,26 +306,33 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
     main table and the foreign key is recorded there.
     """
     tables = _base_tables(c)
-    main = tables[0]
-    transitive: list[TableStructure] = []
-    for group in c.a3:
-        table = TableStructure(
-            name="_".join(group.determiner),
-            attributes=list(group.determiner),
-            primary_key=list(group.determiner),
-        )
-        _extend_unique(table.attributes, group.dependents)
-        tables.append(table)
-        transitive.append(table)
+    first = len(tables)
+    tables += [_group_table(group) for group in c.a3]
     _unique_names(tables)
-    for table in transitive:
-        det = set(table.primary_key)
-        hosts = [t for t in tables if t is not table and det <= set(t.attributes)]
+    if first == len(tables):
+        return tables
+    # determiner attribute -> positions of the tables holding it, ascending
+    holders: dict[str, list[int]] = {name: [] for t in tables[first:] for name in t.primary_key}
+    for pos, t in enumerate(tables):
+        for name in t.attributes:
+            if name in holders:
+                holders[name].append(pos)
+    main = tables[0]
+    for pos in range(first, len(tables)):
+        table = tables[pos]
+        det = table.primary_key
+        lists = sorted((holders[name] for name in det), key=len)
+        hosts = set(lists[0]).intersection(*lists[1:])
+        hosts.discard(pos)
         if hosts:
-            hosts[0].foreign_keys.append(ForeignKey(tuple(table.primary_key), table.name))
+            host = min(hosts)
         else:
-            _extend_unique(main.attributes, table.primary_key)
-            main.foreign_keys.append(ForeignKey(tuple(table.primary_key), table.name))
+            host = 0
+            for name in det:  # the main table is table 0
+                if holders[name][0] != 0:
+                    holders[name].insert(0, 0)
+                    main.attributes.append(name)
+        tables[host].foreign_keys.append(ForeignKey(tuple(det), table.name))
     return tables
 
 

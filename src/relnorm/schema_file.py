@@ -67,12 +67,9 @@ def _parse_name_list(lineno: int, text: str, what: str) -> tuple[str, ...]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise SchemaSyntaxError(lineno, f"malformed {what} list: {text.strip()!r}")
-    names: list[str] = []
     for part in parts:
         _require_identifier(lineno, part, f"{what} attribute")
-        if part not in names:
-            names.append(part)
-    return tuple(names)
+    return tuple(dict.fromkeys(parts))
 
 
 def parse_schema_file(text: str) -> RawSchema:

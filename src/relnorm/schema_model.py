@@ -134,12 +134,15 @@ class SchemaList:
     nodes: list[AttributeNode] = field(default_factory=list)
     node_id_counter: int = 1
     limits: Limits = field(default_factory=Limits)
+    # name -> node, kept up to date by add_attribute; not part of the value
+    _by_name: dict[str, AttributeNode] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # reversed, so that the first node of a name wins, as in a scan
+        self._by_name = {node.attribute_name: node for node in reversed(self.nodes)}
 
     def find_node(self, name: str) -> AttributeNode | None:
-        for node in self.nodes:
-            if node.attribute_name == name:
-                return node
-        return None
+        return self._by_name.get(name)
 
     def add_attribute(
         self,
@@ -177,6 +180,7 @@ class SchemaList:
             max_name_len=self.limits.max_name_len,
         )
         self.nodes.append(node)
+        self._by_name[name] = node
         self.node_id_counter += 1
         return node.node_id
 
@@ -231,6 +235,7 @@ class SchemaList:
         """
         names = [n.attribute_name for n in self.nodes]
         assert len(names) == len(set(names)), "duplicate attribute names"
+        assert self._by_name == {n.attribute_name: n for n in self.nodes}, "stale name index"
         ids = [n.node_id for n in self.nodes]
         assert all(a < b for a, b in zip(ids, ids[1:])), "node ids not strictly increasing"
         assert len(self.nodes) <= self.limits.max_attributes

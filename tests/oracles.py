@@ -111,3 +111,64 @@ def brute_preserves(fds: FdSet, tables) -> bool:
         mask_closure(lhs_mask, projected, width) & rhs_bit == rhs_bit
         for lhs_mask, rhs_bit in rules
     )
+
+
+def reference_cover(fds: FdSet) -> tuple[tuple[frozenset[str], str], ...]:
+    """Canonical cover by the pop/insert algorithm, over bitmask closures.
+
+    Left-reduction scans dependencies in order and left-hand attributes in
+    universe order, closing under the current list; exact duplicates then
+    go, keeping the first; the redundancy pass pops each dependency, closes
+    its left-hand side under the rest and re-inserts it if its right-hand
+    attribute is not reached.  Returns the survivors as ``(lhs, rhs)``
+    pairs, in order.
+    """
+    universe = fds.universe
+    width = len(universe)
+    work = compile_rules(fds, universe)
+    for idx in range(len(work)):
+        lhs_mask, rhs_bit = work[idx]
+        for bit in range(width):
+            if bin(lhs_mask).count("1") < 2:
+                break
+            if lhs_mask & (1 << bit):
+                reduced = lhs_mask & ~(1 << bit)
+                if mask_closure(reduced, work, width) & rhs_bit:
+                    lhs_mask = reduced
+                    work[idx] = (lhs_mask, rhs_bit)
+    work = list(dict.fromkeys(work))
+    idx = 0
+    while idx < len(work):
+        lhs_mask, rhs_bit = work.pop(idx)
+        if not mask_closure(lhs_mask, work, width) & rhs_bit:
+            work.insert(idx, (lhs_mask, rhs_bit))
+            idx += 1
+    return tuple(
+        (
+            frozenset(name for i, name in enumerate(universe) if lhs_mask & (1 << i)),
+            universe[rhs_bit.bit_length() - 1],
+        )
+        for lhs_mask, rhs_bit in work
+    )
+
+
+def wave_order(tables) -> tuple[list, str | None]:
+    """Referenced-first table order, built in waves.
+
+    Each wave takes, in input order, every remaining table all of whose
+    foreign keys name a table already taken in an earlier wave.  Returns
+    ``(order, None)``, or ``(taken so far, message)`` when a wave takes
+    nothing, the message naming the remaining tables in input order.
+    """
+    order: list = []
+    done: set[str] = set()
+    remaining = list(tables)
+    while remaining:
+        ready = [t for t in remaining if all(fk.references in done for fk in t.foreign_keys)]
+        if not ready:
+            names = ", ".join(t.name for t in remaining)
+            return order, f"foreign keys form a cycle among: {names}"
+        order += ready
+        done.update(t.name for t in ready)
+        remaining = [t for t in remaining if t not in ready]
+    return order, None

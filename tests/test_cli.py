@@ -107,6 +107,18 @@ class TestVerifyCommand:
         code, out, _ = invoke("normalize", str(path), "--nf", "3", "--verify")
         assert code == 2
 
+    def test_chase_without_fixpoint_exits_2(self, beer_path, monkeypatch):
+        def stuck(*args):
+            raise RuntimeError("chase failed to reach a fixpoint within its bound")
+
+        monkeypatch.setattr("relnorm.cli.is_lossless", stuck)
+        for argv in (("verify", beer_path), ("normalize", beer_path, "--verify", "--json")):
+            code, _, err = invoke(*argv)
+            assert code == 2
+            assert err.startswith("error: relation 'Beer_Relation': ")
+            assert "chase failed to reach a fixpoint" in err
+            assert "Traceback" not in err
+
     def test_wide_star_finishes(self, tmp_path):
         # one 30-column table at both normal forms: the preservation test
         # must stay polynomial in table width

@@ -1,5 +1,8 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from oracles import wave_order
 from relnorm.ddl import emit_ddl
 from relnorm.errors import CyclicReference, DanglingForeignKey
 from relnorm.normalizer import ForeignKey, TableStructure, decompose_3nf, prepare
@@ -78,3 +81,39 @@ class TestEmitDdl:
             "    PRIMARY KEY (a)\n"
             ");\n"
         )
+
+
+@st.composite
+def reference_graphs(draw):
+    """Up to 8 tables with 0-3 foreign keys each, in shuffled input order.
+
+    Acyclic graphs only reference tables of lower rank; the others may
+    reference any table, themselves included.  Sometimes the last table
+    reuses an earlier table's name.  Each table's first column names it
+    uniquely.
+    """
+    count = draw(st.integers(min_value=1, max_value=8))
+    names = [f"t{rank}" for rank in range(count)]
+    if count > 1 and draw(st.booleans()):
+        names[-1] = names[draw(st.integers(min_value=0, max_value=count - 2))]
+    acyclic = draw(st.booleans())
+    tables = []
+    for rank in range(count):
+        targets = range(rank) if acyclic else range(count)
+        refs = draw(st.lists(st.sampled_from(targets), max_size=3)) if targets else []
+        fks = [ForeignKey(("b",), names[r]) for r in refs]
+        tables.append(table(names[rank], [f"k{rank}", "b"], [f"k{rank}"], fks))
+    return draw(st.permutations(tables))
+
+
+@settings(max_examples=300)
+@given(reference_graphs())
+def test_order_and_cycle_report_match_wave_reference(tables):
+    order, message = wave_order(tables)
+    if message is None:
+        statements = emit_ddl(tables).statements
+        assert [s.split()[4] for s in statements] == [t.attributes[0] for t in order]
+    else:
+        with pytest.raises(CyclicReference) as raised:
+            emit_ddl(tables)
+        assert str(raised.value) == message

@@ -9,6 +9,7 @@ from oracles import (
     equivalent_on_all_subsets,
     has_extraneous_lhs_attribute,
     has_redundant_fd,
+    reference_cover,
 )
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import TableStructure
@@ -87,6 +88,34 @@ def test_minimal_cover_is_equivalent_and_minimal(fds):
 def test_minimal_cover_is_a_fixpoint(fds):
     cover = minimal_cover(fds)
     assert minimal_cover(cover).fds == cover.fds
+
+
+@st.composite
+def wide_fd_sets(draw):
+    """Up to 10 dependencies over 7 attributes, left-hand sides 1-4 wide,
+    some repeated and some widened copies of others (which left-reduction
+    turns into duplicates)."""
+    universe = tuple("abcdefg")
+    fds = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        lhs = draw(st.sets(st.sampled_from(universe), min_size=1, max_size=4))
+        rhs = draw(st.sampled_from([u for u in universe if u not in lhs]))
+        fds.append(FunctionalDependency(frozenset(lhs), rhs))
+        copy = draw(st.sampled_from(["none", "same", "widened"]))
+        extra = [u for u in universe if u not in lhs and u != rhs]
+        if copy == "same":
+            fds.append(fds[-1])
+        elif copy == "widened" and len(lhs) < 4 and extra:
+            fds.append(FunctionalDependency(frozenset(lhs) | {draw(st.sampled_from(extra))}, rhs))
+    order = draw(st.permutations(fds))
+    return FdSet(tuple(order), universe)
+
+
+@settings(max_examples=200)
+@given(wide_fd_sets())
+def test_minimal_cover_keeps_the_reference_survivors_in_order(fds):
+    cover = minimal_cover(fds)
+    assert tuple((fd.lhs, fd.rhs) for fd in cover) == reference_cover(fds)
 
 
 @settings(max_examples=60)

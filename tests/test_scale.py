@@ -1,0 +1,52 @@
+"""Closed-form outputs on relations wide enough that a stage quadratic in
+attributes plus dependencies would take minutes; no timing is asserted."""
+
+from relnorm.ddl import emit_ddl
+from relnorm.fd_engine import RawFd
+from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
+from relnorm.verifier import preserves_dependencies
+
+
+def plain(tables):
+    return [(t.name, t.attributes, t.primary_key, t.foreign_keys) for t in tables]
+
+
+def test_chain_of_a_thousand():
+    # a0 -> a1 -> ... -> a999, key a0
+    n = 1000
+    a = [f"a{i}" for i in range(n)]
+    raw = RawSchema(
+        "Chain",
+        tuple(RawAttribute(name, is_key=(i == 0)) for i, name in enumerate(a)),
+        tuple(RawFd((a[i],), (a[i + 1],)) for i in range(n - 1)),
+    )
+    state = prepare(raw)
+    t2 = decompose_2nf(state.classification)
+    t3 = decompose_3nf(state.classification)
+
+    assert plain(t2) == [("Chain_main", a, ["a0"], [])]
+    # main keeps a0 -> a1; one table per later link, each referenced by the
+    # table holding its determiner
+    expected = [("Chain_main", a[:2], ["a0"], [ForeignKey(("a1",), "a1")])]
+    for i in range(1, n - 1):
+        fks = [ForeignKey((a[i + 1],), a[i + 1])] if i < n - 2 else []
+        expected.append((a[i], [a[i], a[i + 1]], [a[i]], fks))
+    assert plain(t3) == expected
+    assert [s.split()[2] for s in emit_ddl(t3).statements] == [t.name for t in reversed(t3)]
+    assert preserves_dependencies(state.cover, t2)
+    assert preserves_dependencies(state.cover, t3)
+
+
+def test_star_three_thousand_wide():
+    # k -> x0, ..., x2999
+    dependents = [f"x{i}" for i in range(3000)]
+    raw = RawSchema(
+        "Star",
+        (RawAttribute("k", is_key=True), *(RawAttribute(name) for name in dependents)),
+        (RawFd(("k",), tuple(dependents)),),
+    )
+    state = prepare(raw)
+    expected = [("Star_main", ["k", *dependents], ["k"], [])]
+    for tables in (decompose_2nf(state.classification), decompose_3nf(state.classification)):
+        assert plain(tables) == expected
+        assert preserves_dependencies(state.cover, tables)

@@ -183,6 +183,29 @@ class TestFindNode:
         for node in sl.nodes:
             assert sl.find_node(node.attribute_name) is node
 
+    def test_index_covers_nodes_given_at_construction(self):
+        built = SchemaList("R")
+        built.add_attribute("k", is_key=True)
+        built.add_attribute("v")
+        given = SchemaList(
+            "R",
+            nodes=[create_node("k", is_key=True, node_id=1), create_node("v", node_id=2)],
+            node_id_counter=3,
+        )
+        assert given.find_node("v") is given.nodes[1]
+        given.check_invariants()
+        # the index is not part of the value
+        assert given == built
+        assert repr(given) == repr(built)
+        assert "_by_name" not in repr(given)
+
+    def test_invariants_catch_a_node_added_behind_the_index(self):
+        sl = SchemaList("R")
+        sl.add_attribute("k", is_key=True)
+        sl.nodes.append(create_node("v", node_id=2))
+        with pytest.raises(AssertionError, match="name index"):
+            sl.check_invariants()
+
 
 class TestInvariants:
     def test_stored_fds_reconstruct_input(self):
