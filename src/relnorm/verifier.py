@@ -1,8 +1,11 @@
 """Decomposition-quality oracles, independent of the synthesis path.
 
-Lossless join is decided by the chase: one tableau row per table, rows
-equated under the dependencies until either some row becomes fully
-distinguished or nothing changes.  Dependency preservation is decided by
+Lossless join is decided by the chase (Aho, Beeri & Ullman, TODS 1979),
+run as a worklist over integer symbols in the manner of Downey, Sethi &
+Tarjan (JACM 1980): one tableau row per table, each column keeping the
+classes of rows that share a symbol, a dependency applied again only after
+a column of its left-hand side merged, and a stop as soon as some row is
+fully distinguished.  Dependency preservation is decided by
 the restricted-closure test of Beeri and Honeyman: the closure of a
 left-hand side under the union of the per-table projections is grown
 table by table, through the closure of what each table already sees,
@@ -15,8 +18,10 @@ verdicts here are trustworthy for auditing the normalizer.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import AttributeOutsideUniverse
@@ -52,46 +57,93 @@ def is_lossless(
 ) -> bool:
     """Chase test for the lossless-join property.
 
-    Builds one row per table with distinguished symbols on the table's own
-    attributes, chases to a fixpoint, and reports whether some row became
-    distinguished everywhere.
+    The tableau has one row per table and one column per attribute of the
+    universe.  Symbols are integers: 0 is distinguished, and row ``r``
+    starts with 0 on its table's attributes and its own symbol ``r + 1``
+    everywhere else.  Each column keeps its classes, symbol -> rows; a row
+    still holding its own symbol is in no class.  A dependency X -> A is
+    applied to the classes of X's first column alone, since a row outside
+    them agrees with no other row on X; each class is split by the symbols
+    of the rest of X, and every group of two or more rows has its A-classes
+    merged: the distinguished class wins, otherwise the largest class
+    absorbs the others.  Every dependency is queued once, and again only
+    when a column of its X merged: no other merge changes which rows agree
+    on X, and A already agrees within every group.
+
+    The chase terminates: a dependency re-enters the queue only after a
+    firing that changed something, and every such firing lowers the
+    number of distinct symbols in one column, which starts at no more than
+    the number of rows.  It returns True as soon as a row's last
+    non-distinguished cell becomes distinguished, and False when the queue
+    runs dry first.
     """
     _check_within_universe(tables, universe)
-    columns = list(universe)
-    rows: list[dict[str, tuple]] = []
-    for i, table in enumerate(tables):
-        owned = set(table.attributes)
-        rows.append(
-            {a: ("d", a) if a in owned else ("n", i, a) for a in columns}
-        )
-    # Every productive pass merges at least one symbol pair, so the pass
-    # count is bounded by the number of subscripted symbols.
-    max_passes = len(tables) * len(columns) * max(1, len(fds)) + 2
-    passes = 0
-    changed = True
-    while changed:
-        changed = False
-        passes += 1
-        if passes > max_passes:
-            raise RuntimeError("chase failed to reach a fixpoint within its bound")
-        for fd in fds:
-            lhs = sorted(fd.lhs)
-            groups: dict[tuple, list[dict[str, tuple]]] = {}
-            for row in rows:
-                groups.setdefault(tuple(row[a] for a in lhs), []).append(row)
-            for members in groups.values():
-                if len(members) < 2:
+    column = {name: c for c, name in enumerate(dict.fromkeys(universe))}
+    width = len(column)
+    rows = []
+    classes: list[dict[int, list[int]]] = [{} for _ in column]
+    missing = []  # per row, the cells not yet distinguished
+    for r, table in enumerate(tables):
+        row = [r + 1] * width
+        owned = {column[name] for name in table.attributes}
+        for c in owned:
+            row[c] = 0
+            classes[c].setdefault(0, []).append(r)
+        rows.append(row)
+        missing.append(width - len(owned))
+    if not all(missing):
+        return True
+
+    # rule i: (first column of X, the rest of X read off a row, A)
+    rules = []
+    users: list[list[int]] = [[] for _ in column]  # per column, the rules with it in X
+    for i, fd in enumerate(fds):
+        lhs = sorted([column[name] for name in fd.lhs])
+        for c in lhs:
+            users[c].append(i)
+        rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
+    queue = deque(range(len(rules)))
+    queued = [True] * len(rules)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        first, key, a = rules[i]
+        held = classes[a]
+        merged = False
+        for members in classes[first].values():
+            if len(members) < 2:
+                continue
+            if key:
+                by: dict[object, list[int]] = {}
+                for r in members:
+                    by.setdefault(key(rows[r]), []).append(r)
+                groups = by.values()
+            else:
+                groups = (members,)
+            for group in groups:
+                seen = {rows[r][a] for r in group}
+                if len(seen) < 2:
                     continue
-                symbols = {row[fd.rhs] for row in members}
-                if len(symbols) == 1:
-                    continue
-                distinguished = ("d", fd.rhs)
-                target = distinguished if distinguished in symbols else members[0][fd.rhs]
-                for row in rows:
-                    if row[fd.rhs] in symbols and row[fd.rhs] != target:
-                        row[fd.rhs] = target
-                        changed = True
-    return any(all(row[a] == ("d", a) for a in columns) for row in rows)
+                merged = True
+                winner = 0 if 0 in seen else max(seen, key=lambda s: len(held.get(s, ())))
+                seen.remove(winner)
+                # a symbol with no class is the own symbol of one row
+                into = held.setdefault(winner, [winner - 1])
+                for s in seen:
+                    moved = held.pop(s, None) or [s - 1]
+                    into += moved
+                    for r in moved:
+                        rows[r][a] = winner
+                        if not winner:
+                            missing[r] -= 1
+                            if not missing[r]:
+                                return True
+        if merged:
+            for j in users[a]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+    return False
 
 
 def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool:

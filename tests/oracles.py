@@ -113,6 +113,40 @@ def brute_preserves(fds: FdSet, tables) -> bool:
     )
 
 
+def brute_lossless(fds: FdSet, tables) -> bool:
+    """Naive chase over plain integer rows.
+
+    ``tables`` holds one collection of attribute names per table.  Row i
+    holds 0 (distinguished) on table i's attributes and a symbol of its own
+    on every other column.  Each pass tries every dependency on every pair
+    of rows; rows agreeing on the left-hand side have the larger of their
+    right-hand symbols replaced by the smaller throughout the column.
+    Passes repeat until one changes nothing; the decomposition is lossless
+    iff some row is then all zeros.
+    """
+    universe = fds.universe
+    width = len(universe)
+    index = {name: i for i, name in enumerate(universe)}
+    rows = []
+    for r, attrs in enumerate(tables):
+        owned = {index[name] for name in attrs}
+        rows.append([0 if c in owned else 1 + r * width + c for c in range(width)])
+    rules = [([index[name] for name in fd.lhs], index[fd.rhs]) for fd in fds]
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            for row in rows:
+                for other in rows:
+                    if row[rhs] != other[rhs] and all(row[c] == other[c] for c in lhs):
+                        keep, drop = sorted((row[rhs], other[rhs]))
+                        for each in rows:
+                            if each[rhs] == drop:
+                                each[rhs] = keep
+                        changed = True
+    return any(not any(row) for row in rows)
+
+
 def reference_cover(fds: FdSet) -> tuple[tuple[frozenset[str], str], ...]:
     """Canonical cover by the pop/insert algorithm, over bitmask closures.
 

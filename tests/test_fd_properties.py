@@ -5,16 +5,19 @@ from hypothesis import assume, given, settings
 
 from oracles import (
     brute_closure,
+    brute_lossless,
     brute_preserves,
+    compile_rules,
     equivalent_on_all_subsets,
     has_extraneous_lhs_attribute,
     has_redundant_fd,
+    mask_closure,
     reference_cover,
 )
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency, SchemaList
-from relnorm.verifier import preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies
 
 UNIVERSE = tuple("abcdef")
 
@@ -145,9 +148,9 @@ def test_schema_list_round_trips_a_cover(fds):
 
 
 @st.composite
-def covering_tables(draw, universe):
-    """One to four tables, each non-empty, whose union is ``universe``."""
-    count = draw(st.integers(min_value=1, max_value=4))
+def covering_tables(draw, universe, low=1, high=4):
+    """``low`` to ``high`` tables, each non-empty, whose union is ``universe``."""
+    count = draw(st.integers(min_value=low, max_value=high))
     tables = [set(draw(st.sets(st.sampled_from(universe), min_size=1))) for _ in range(count)]
     for name in universe:
         if not any(name in t for t in tables):
@@ -164,3 +167,25 @@ def test_preserves_dependencies_matches_exhaustive_projection(data):
     tables = data.draw(covering_tables(fds.universe))
     expected = brute_preserves(fds, [t.attributes for t in tables])
     assert preserves_dependencies(fds, tables) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_is_lossless_matches_naive_chase(data):
+    fds = data.draw(fd_sets())
+    tables = data.draw(covering_tables(fds.universe, high=5))
+    expected = brute_lossless(fds, [t.attributes for t in tables])
+    assert is_lossless(fds.universe, fds, tables) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_is_lossless_on_two_tables_is_heaths_test(data):
+    # R1, R2 join losslessly iff closure(R1 ∩ R2) holds R1 or R2
+    fds = data.draw(fd_sets())
+    tables = data.draw(covering_tables(fds.universe, low=2, high=2))
+    index = {name: i for i, name in enumerate(fds.universe)}
+    r1, r2 = (sum(1 << index[name] for name in t.attributes) for t in tables)
+    reach = mask_closure(r1 & r2, compile_rules(fds, fds.universe), len(fds.universe))
+    expected = reach & r1 == r1 or reach & r2 == r2
+    assert is_lossless(fds.universe, fds, tables) == expected

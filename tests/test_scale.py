@@ -4,7 +4,7 @@ attributes plus dependencies would take minutes; no timing is asserted."""
 from relnorm.ddl import emit_ddl
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
-from relnorm.verifier import preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies
 
 
 def plain(tables):
@@ -35,6 +35,8 @@ def test_chain_of_a_thousand():
     assert [s.split()[2] for s in emit_ddl(t3).statements] == [t.name for t in reversed(t3)]
     assert preserves_dependencies(state.cover, t2)
     assert preserves_dependencies(state.cover, t3)
+    assert is_lossless(a, state.cover, t2)
+    assert is_lossless(a, state.cover, t3)
 
 
 def test_star_three_thousand_wide():
@@ -50,3 +52,4 @@ def test_star_three_thousand_wide():
     for tables in (decompose_2nf(state.classification), decompose_3nf(state.classification)):
         assert plain(tables) == expected
         assert preserves_dependencies(state.cover, tables)
+        assert is_lossless(["k", *dependents], state.cover, tables)

@@ -38,6 +38,14 @@ class TestIsLossless:
         tables = [table("t1", "ab", "a"), table("t2", "bc", "b")]
         assert is_lossless(("a", "b", "c"), fds, tables) is True
 
+    def test_needs_a_merge_of_non_distinguished_symbols(self):
+        # a -> c equates the c-cells of rows ad and ab, neither
+        # distinguished; only then does c -> d reach row ab, and bd -> a
+        # completes row bcd
+        fds = FdSet((FD("bd", "a"), FD("c", "d"), FD("a", "c")), ("a", "b", "c", "d"))
+        tables = [table("t1", "ad", "a"), table("t2", "ab", "a"), table("t3", "bcd", "b")]
+        assert is_lossless(("a", "b", "c", "d"), fds, tables) is True
+
     def test_attribute_outside_universe(self):
         fds = FdSet((), ("a",))
         with pytest.raises(AttributeOutsideUniverse):
