@@ -10,7 +10,6 @@ two-sequence baseline for comparison.
 from .baseline import (
     BenchReport,
     BenchRow,
-    CostModel,
     TwoListSchema,
     bench,
     memory_cells_double,
@@ -26,7 +25,6 @@ from .normalizer import (
     RawKind,
     RawSchema,
     TableStructure,
-    attribute_info,
     classify,
     decompose_2nf,
     decompose_3nf,
@@ -39,7 +37,6 @@ from .schema_model import (
     AttributeKind,
     AttributeNode,
     FunctionalDependency,
-    Limits,
     SchemaList,
     create_node,
 )
@@ -53,13 +50,11 @@ __all__ = [
     "BenchReport",
     "BenchRow",
     "Classification",
-    "CostModel",
     "DdlScript",
     "DependencyGroup",
     "FdSet",
     "ForeignKey",
     "FunctionalDependency",
-    "Limits",
     "RawAttribute",
     "RawFd",
     "RawKind",
@@ -69,7 +64,6 @@ __all__ = [
     "TwoListSchema",
     "Violation",
     "ViolationKind",
-    "attribute_info",
     "bench",
     "classify",
     "closure",

@@ -5,11 +5,11 @@ dependencies, so classification has to re-derive each attribute's
 determiners by scanning the dependency list — the lookup cost the
 single-sequence design avoids by storing determiner slots in the nodes.
 
-Memory is compared under an abstract cell model read off the node layout:
-name cells of 50 bytes, flag cells of 1, id and link cells of 4, four
-slots of four ids per node.  Absolute byte counts from any concrete
-runtime are not reproduced; the model makes the size comparison explicit
-and checkable.
+Memory is compared under a fixed abstract cell model read off the node
+layout: name cells of 50 bytes, flag cells of 1, id and link cells of 4,
+and ``MAX_DETERMINERS`` slots of ``MAX_LHS`` ids per node.  Absolute byte
+counts from any concrete runtime are not reproduced; the model makes the
+size comparison explicit and checkable.
 
 Timing compares the classification-plus-synthesis pass of both
 representations from prebuilt inputs.  The shared preprocessing
@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import EmptyCorpus, LhsTooLarge, UnknownAttribute
 from .normalizer import (
     Classification,
-    DependencyGroup,
     PipelineState,
     RawSchema,
+    bucket_determiners,
     classify,
     decompose_2nf,
     decompose_3nf,
     prepare,
 )
-from .schema_model import AttributeKind, Limits, SchemaList
+from .schema_model import MAX_DETERMINERS, MAX_LHS, AttributeKind, SchemaList
 
 
 @dataclass(frozen=True)
@@ -58,54 +58,41 @@ class TwoListSchema:
     relation_name: str
     attribute_list: tuple[TwoListAttribute, ...]
     fd_list: tuple[TwoListFd, ...]
-    limits: Limits = field(default_factory=Limits)
 
     def __post_init__(self) -> None:
         known = {a.name for a in self.attribute_list}
         for fd in self.fd_list:
-            if len(fd.lhs) > self.limits.max_lhs:
+            if len(fd.lhs) > MAX_LHS:
                 raise LhsTooLarge(f"left-hand side of size {len(fd.lhs)} exceeds limit")
             missing = (set(fd.lhs) | {fd.rhs}) - known
             if missing:
                 raise UnknownAttribute(f"dependency mentions unknown attributes: {sorted(missing)}")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Byte costs for the abstract memory comparison."""
-
-    name_cell: int = 50
-    flag_cell: int = 1
-    id_cell: int = 4
-    link_cell: int = 4
-    slots_per_node: int = 4
-    ids_per_slot: int = 4
-
-    def __post_init__(self) -> None:
-        for name in ("name_cell", "flag_cell", "id_cell", "link_cell", "slots_per_node", "ids_per_slot"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# byte costs of the cell model
+NAME_CELL = 50
+FLAG_CELL = 1
+ID_CELL = 4
+LINK_CELL = 4
 
 
-def memory_cells_single(schema_list: SchemaList, model: CostModel | None = None) -> int:
+def memory_cells_single(schema_list: SchemaList) -> int:
     """Bytes for the single-sequence layout: N times the ten-field node."""
-    m = model or CostModel()
     per_node = (
-        m.name_cell            # attribute name
-        + 2 * m.flag_cell      # attribute type, determiner flag
-        + m.id_cell            # node id
-        + m.slots_per_node * m.ids_per_slot * m.id_cell
-        + m.flag_cell          # key flag
-        + m.link_cell          # successor link
+        NAME_CELL            # attribute name
+        + 2 * FLAG_CELL      # attribute type, determiner flag
+        + ID_CELL            # node id
+        + MAX_DETERMINERS * MAX_LHS * ID_CELL
+        + FLAG_CELL          # key flag
+        + LINK_CELL          # successor link
     )
     return len(schema_list.nodes) * per_node
 
 
-def memory_cells_double(schema: TwoListSchema, model: CostModel | None = None) -> int:
+def memory_cells_double(schema: TwoListSchema) -> int:
     """Bytes for the two-sequence layout: attribute nodes plus dependency nodes."""
-    m = model or CostModel()
-    attr_node = m.name_cell + 2 * m.flag_cell + m.link_cell
-    fd_node = schema.limits.max_lhs * m.name_cell + m.name_cell + m.link_cell
+    attr_node = NAME_CELL + 2 * FLAG_CELL + LINK_CELL
+    fd_node = MAX_LHS * NAME_CELL + NAME_CELL + LINK_CELL
     return len(schema.attribute_list) * attr_node + len(schema.fd_list) * fd_node
 
 
@@ -126,64 +113,28 @@ def two_list_from_state(state: PipelineState, *, use_cover: bool) -> TwoListSche
         TwoListFd(tuple(sorted(fd.lhs, key=position.__getitem__)), fd.rhs)
         for fd in source
     )
-    return TwoListSchema(state.schema_list.relation_name, attrs, fds, state.schema_list.limits)
+    return TwoListSchema(state.schema_list.relation_name, attrs, fds)
 
 
 def classify_two_list(schema: TwoListSchema) -> Classification:
     """Classification over the two-sequence layout.
 
-    Mirrors the single-sequence classification but must recover each
-    attribute's determiners by scanning the dependency list per
-    attribute.  Produces an identical result for matching inputs.
+    Each non-key attribute's determiners are recovered by scanning the
+    dependency list, with attribute positions standing in for node ids;
+    the bucketing is the single-sequence one.  Produces an identical
+    result for matching inputs.
     """
-    primes = [a.name for a in schema.attribute_list if a.is_key]
-    prime_set = set(primes)
-    position = {a.name: i + 1 for i, a in enumerate(schema.attribute_list)}
-    prime_ids = frozenset(position[p] for p in primes)
+    position = {a.name: i for i, a in enumerate(schema.attribute_list, 1)}
 
-    a1: list[str] = list(primes)
-    a2: list[tuple[frozenset[str], list[str]]] = []
-    a3: list[tuple[frozenset[str], list[str]]] = []
+    def determiners(name: str) -> list[frozenset[int]]:
+        return [frozenset(map(position.__getitem__, fd.lhs)) for fd in schema.fd_list if fd.rhs == name]
 
-    def file_into(groups: list[tuple[frozenset[str], list[str]]], det: frozenset[str], name: str) -> None:
-        for existing, dependents in groups:
-            if existing == det:
-                if name not in dependents:
-                    dependents.append(name)
-                return
-        groups.append((det, [name]))
-
-    for attr in schema.attribute_list:
-        if attr.is_key:
-            continue
-        determiners = [fd.lhs for fd in schema.fd_list if fd.rhs == attr.name]
-        if not determiners:
-            a1.append(attr.name)
-            continue
-        for lhs in determiners:
-            det = set(lhs)
-            if det == prime_set:
-                a1.append(attr.name)
-            elif det < prime_set:
-                file_into(a2, frozenset(det), attr.name)
-            else:
-                file_into(a3, frozenset(det), attr.name)
-
-    def freeze(groups: list[tuple[frozenset[str], list[str]]]) -> tuple[DependencyGroup, ...]:
-        return tuple(
-            DependencyGroup(tuple(sorted(det, key=position.__getitem__)), tuple(deps))
-            for det, deps in groups
-        )
-
-    non_key = tuple(a.name for a in schema.attribute_list if not a.is_key)
-    return Classification(
-        relation_name=schema.relation_name,
-        a1=tuple(a1),
-        a2=freeze(a2),
-        a3=freeze(a3),
-        prime_attributes=tuple(primes),
-        prime_key_node_ids=prime_ids,
-        all_attributes=non_key,
+    return bucket_determiners(
+        schema.relation_name,
+        [
+            (position[a.name], a.name, a.is_key, () if a.is_key else determiners(a.name))
+            for a in schema.attribute_list
+        ],
     )
 
 
@@ -264,12 +215,11 @@ def _median_us(pass_fn: Callable[[], object], repetitions: int, inner: int) -> f
 def bench(
     corpus: Sequence[RawSchema],
     repetitions: int = 5,
-    model: CostModel | None = None,
     inner: int = 25,
 ) -> BenchReport:
     """Compare both representations over a corpus of relations.
 
-    For every relation: memory bytes under the cost model for both
+    For every relation: memory bytes under the cell model for both
     layouts (the two-sequence layout holding the dependencies as
     entered), plus median wall-clock for the classification+synthesis
     pass of each layout at both normal forms.
@@ -278,14 +228,13 @@ def bench(
         raise EmptyCorpus("benchmark requires at least one relation")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    cost = model or CostModel()
     rows: list[BenchRow] = []
     for raw in corpus:
         state = prepare(raw)
         entered = two_list_from_state(state, use_cover=False)
         covered = two_list_from_state(state, use_cover=True)
-        single_bytes = memory_cells_single(state.schema_list, cost)
-        double_bytes = memory_cells_double(entered, cost)
+        single_bytes = memory_cells_single(state.schema_list)
+        double_bytes = memory_cells_double(entered)
         schema_list = state.schema_list
 
         t2nf_single = _median_us(lambda: decompose_2nf(classify(schema_list)), repetitions, inner)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .errors import ComponentCollision, DuplicateAttribute, NoKeyDeclared, UnknownAttributeInFd
 from .fd_engine import FdSet, RawFd, minimal_cover, split_rhs
-from .schema_model import AttributeKind, Limits, SchemaList
+from .schema_model import AttributeKind, SchemaList
 
 
 class RawKind(Enum):
@@ -162,71 +163,81 @@ class TableStructure:
         return frozenset(self.primary_key)
 
 
-def attribute_info(schema_list: SchemaList) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[int]]:
-    """Partition node names by key membership, preserving list order.
+def bucket_determiners(
+    relation_name: str, attributes: Sequence[tuple[int, str, bool, Sequence[frozenset[int]]]]
+) -> Classification:
+    """Bucket every determiner of every non-key attribute.
 
-    Returns ``(all_attributes, prime_attributes, prime_key_node_ids)``
-    where ``all_attributes`` holds the names outside the key.
+    ``attributes`` holds ``(id, name, is_key, determiners)`` in list
+    order, each determiner being the id-set of one left-hand side.  A
+    determiner equal to the key id-set feeds ``a1``; a proper subset feeds
+    ``a2``; any other feeds ``a3``.  Determiner-less attributes also land
+    in ``a1``.  Groups merge on determiner equality and keep creation
+    order; dependents keep traversal order.  Raises NoKeyDeclared when no
+    attribute is a key.
     """
+    name_of: dict[int, str] = {}
     primes: list[str] = []
-    others: list[str] = []
-    ids: set[int] = set()
-    for node in schema_list.nodes:
-        if node.is_key_attribute:
-            primes.append(node.attribute_name)
-            ids.add(node.node_id)
+    prime_id_list: list[int] = []
+    non_key: list[str] = []
+    for attr_id, name, is_key, _ in attributes:
+        name_of[attr_id] = name
+        if is_key:
+            primes.append(name)
+            prime_id_list.append(attr_id)
         else:
-            others.append(node.attribute_name)
+            non_key.append(name)
     if not primes:
-        raise NoKeyDeclared(f"relation {schema_list.relation_name!r} has no key attribute")
-    return tuple(others), tuple(primes), frozenset(ids)
-
-
-def classify(schema_list: SchemaList) -> Classification:
-    """Bucket every stored determiner slot of every non-key attribute.
-
-    Expects the list to hold a canonical cover.  Slots equal to the key
-    id-set feed ``a1``; proper subsets feed ``a2``; all other slots feed
-    ``a3``.  Slot-less attributes also land in ``a1``.  Groups merge on
-    determiner equality and keep creation order; dependents keep traversal
-    order.
-    """
-    non_key, primes, prime_ids = attribute_info(schema_list)
-    by_id = {node.node_id: node.attribute_name for node in schema_list.nodes}
+        raise NoKeyDeclared(f"relation {relation_name!r} has no key attribute")
+    prime_ids = frozenset(prime_id_list)
 
     a1: list[str] = list(primes)
     # determiner -> dependents, both in first-seen order
     a2: dict[frozenset[int], dict[str, None]] = {}
     a3: dict[frozenset[int], dict[str, None]] = {}
 
-    for node in schema_list.nodes:
-        if node.is_key_attribute:
+    for _, name, is_key, determiners in attributes:
+        if is_key:
             continue
-        if not node.determiner_slots:
-            a1.append(node.attribute_name)
-            continue
-        for slot in node.determiner_slots:
-            if slot == prime_ids:
-                a1.append(node.attribute_name)
-            elif slot < prime_ids:
-                a2.setdefault(slot, {})[node.attribute_name] = None
+        if not determiners:
+            a1.append(name)
+        for det in determiners:
+            if det == prime_ids:
+                a1.append(name)
+            elif det < prime_ids:
+                a2.setdefault(det, {})[name] = None
             else:
-                a3.setdefault(slot, {})[node.attribute_name] = None
+                a3.setdefault(det, {})[name] = None
 
     def freeze(groups: dict[frozenset[int], dict[str, None]]) -> tuple[DependencyGroup, ...]:
         return tuple(
-            DependencyGroup(tuple(by_id[i] for i in sorted(det)), tuple(deps))
+            DependencyGroup(tuple(name_of[i] for i in sorted(det)), tuple(deps))
             for det, deps in groups.items()
         )
 
     return Classification(
-        relation_name=schema_list.relation_name,
+        relation_name=relation_name,
         a1=tuple(a1),
         a2=freeze(a2),
         a3=freeze(a3),
-        prime_attributes=primes,
+        prime_attributes=tuple(primes),
         prime_key_node_ids=prime_ids,
-        all_attributes=non_key,
+        all_attributes=tuple(non_key),
+    )
+
+
+def classify(schema_list: SchemaList) -> Classification:
+    """Bucket the stored determiner slots of a list holding a canonical cover.
+
+    The slots are read straight from the nodes; node ids name the
+    determiners.
+    """
+    return bucket_determiners(
+        schema_list.relation_name,
+        [
+            (node.node_id, node.attribute_name, node.is_key_attribute, node.determiner_slots)
+            for node in schema_list.nodes
+        ],
     )
 
 
@@ -336,7 +347,7 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
     return tables
 
 
-def build_schema_list(flat: RawSchema, cover: FdSet, limits: Limits | None = None) -> SchemaList:
+def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     """Enter a flattened relation and its cover into a fresh node sequence.
 
     Attributes are ordered into the required classes automatically: key
@@ -349,7 +360,7 @@ def build_schema_list(flat: RawSchema, cover: FdSet, limits: Limits | None = Non
     keys = [a for a in flat.attributes if a.is_key]
     dets = [a for a in flat.attributes if not a.is_key and a.name in determiner_names]
     rest = [a for a in flat.attributes if not a.is_key and a.name not in determiner_names]
-    schema_list = SchemaList(flat.relation_name, limits=limits or Limits())
+    schema_list = SchemaList(flat.relation_name)
     for attr in (*keys, *dets, *rest):
         schema_list.add_attribute(
             attr.name,
@@ -373,7 +384,7 @@ class PipelineState:
     classification: Classification
 
 
-def prepare(raw: RawSchema, limits: Limits | None = None) -> PipelineState:
+def prepare(raw: RawSchema) -> PipelineState:
     """Run every stage up to (and including) classification.
 
     Before the cover is computed, the split dependencies are stably
@@ -388,7 +399,7 @@ def prepare(raw: RawSchema, limits: Limits | None = None) -> PipelineState:
     prioritized = [fd for fd in split if not fd.lhs <= primes]
     prioritized += [fd for fd in split if fd.lhs <= primes]
     cover = minimal_cover(FdSet(tuple(prioritized), universe))
-    schema_list = build_schema_list(flat, cover, limits)
+    schema_list = build_schema_list(flat, cover)
     classification = classify(schema_list)
     return PipelineState(
         flat=flat,
@@ -399,9 +410,9 @@ def prepare(raw: RawSchema, limits: Limits | None = None) -> PipelineState:
     )
 
 
-def normalize(raw: RawSchema, *, to_3nf: bool, limits: Limits | None = None) -> list[TableStructure]:
+def normalize(raw: RawSchema, *, to_3nf: bool) -> list[TableStructure]:
     """Full pipeline: flatten, cover, classify, decompose."""
-    state = prepare(raw, limits)
+    state = prepare(raw)
     if to_3nf:
         return decompose_3nf(state.classification)
     return decompose_2nf(state.classification)

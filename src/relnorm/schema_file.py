@@ -18,8 +18,8 @@ import re
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttributeInFd
 from .fd_engine import RawFd
 from .normalizer import RawAttribute, RawKind, RawSchema
+from .schema_model import _IDENTIFIER
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _COMPOSITE = re.compile(r"composite\(([^()]*)\)")
 
 

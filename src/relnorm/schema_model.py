@@ -1,10 +1,11 @@
 """Single-sequence representation of one relation and its dependencies.
 
 A relation is stored as one ordered sequence of attribute nodes.  Each node
-carries the attribute's flags plus up to ``max_determiners`` determiner
-slots, where a slot is the set of node ids forming one left-hand side that
-determines this attribute.  Attribute list and dependency structure
-therefore live in a single container; no separate dependency list exists.
+carries the attribute's flags plus up to ``MAX_DETERMINERS`` determiner
+slots, where a slot is the set of at most ``MAX_LHS`` node ids forming one
+left-hand side that determines this attribute.  Attribute list and
+dependency structure therefore live in a single container; no separate
+dependency list exists.
 
 Entry order is constrained: all key attributes first, then non-key
 attributes that act as determiners, then everything else.  The order is
@@ -32,20 +33,16 @@ from .errors import (
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# The node layout: four determiner slots of up to four ids each.
+MAX_DETERMINERS = 4
+MAX_LHS = 4
+MAX_NAME_LEN = 100
+MAX_ATTRIBUTES = 9000
+
 
 class AttributeKind(Enum):
     ATOMIC = "atomic"
     MULTIVALUED = "multivalued"
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Configurable structural limits; defaults follow the node layout."""
-
-    max_determiners: int = 4
-    max_lhs: int = 4
-    max_name_len: int = 100
-    max_attributes: int = 9000
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ def create_node(
     is_key: bool = False,
     is_det: bool = False,
     node_id: int,
-    max_name_len: int = 100,
 ) -> AttributeNode:
     """Build a detached node with empty determiner slots.
 
@@ -102,8 +98,8 @@ def create_node(
     """
     if not name or not _IDENTIFIER.match(name):
         raise InvalidName(f"not a valid attribute name: {name!r}")
-    if len(name) > max_name_len:
-        raise InvalidName(f"attribute name longer than {max_name_len} characters: {name[:20]!r}...")
+    if len(name) > MAX_NAME_LEN:
+        raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
     return AttributeNode(
         attribute_name=name,
         attribute_type=kind,
@@ -133,7 +129,6 @@ class SchemaList:
     relation_name: str
     nodes: list[AttributeNode] = field(default_factory=list)
     node_id_counter: int = 1
-    limits: Limits = field(default_factory=Limits)
     # name -> node, kept up to date by add_attribute; not part of the value
     _by_name: dict[str, AttributeNode] = field(init=False, repr=False, compare=False)
 
@@ -158,9 +153,9 @@ class SchemaList:
         counter then advances by one.  The append is rejected when the
         declared flags would place the node before an earlier entry class.
         """
-        if len(self.nodes) >= self.limits.max_attributes:
+        if len(self.nodes) >= MAX_ATTRIBUTES:
             raise CapacityExceeded(
-                f"relation {self.relation_name!r} already holds {self.limits.max_attributes} attributes"
+                f"relation {self.relation_name!r} already holds {MAX_ATTRIBUTES} attributes"
             )
         if self.find_node(name) is not None:
             raise DuplicateAttribute(f"attribute {name!r} already present in {self.relation_name!r}")
@@ -171,14 +166,7 @@ class SchemaList:
                     f"cannot append {name!r}: key attributes, then non-key determiners, "
                     "then remaining attributes"
                 )
-        node = create_node(
-            name,
-            kind,
-            is_key=is_key,
-            is_det=is_det,
-            node_id=self.node_id_counter,
-            max_name_len=self.limits.max_name_len,
-        )
+        node = create_node(name, kind, is_key=is_key, is_det=is_det, node_id=self.node_id_counter)
         self.nodes.append(node)
         self._by_name[name] = node
         self.node_id_counter += 1
@@ -189,15 +177,13 @@ class SchemaList:
 
         Re-adding an identical dependency is a no-op.  A fifth distinct
         determiner for one attribute is rejected, as is a left-hand side
-        wider than the configured limit.
+        wider than ``MAX_LHS``.
         """
         target = self.find_node(fd.rhs)
         if target is None:
             raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
-        if len(fd.lhs) > self.limits.max_lhs:
-            raise LhsTooLarge(
-                f"left-hand side of size {len(fd.lhs)} exceeds limit {self.limits.max_lhs}"
-            )
+        if len(fd.lhs) > MAX_LHS:
+            raise LhsTooLarge(f"left-hand side of size {len(fd.lhs)} exceeds limit {MAX_LHS}")
         determiners = []
         for name in fd.lhs:
             node = self.find_node(name)
@@ -207,9 +193,9 @@ class SchemaList:
         slot = frozenset(node.node_id for node in determiners)
         if slot in target.determiner_slots:
             return
-        if len(target.determiner_slots) >= self.limits.max_determiners:
+        if len(target.determiner_slots) >= MAX_DETERMINERS:
             raise DeterminerSlotsExhausted(
-                f"attribute {fd.rhs!r} already has {self.limits.max_determiners} determiners"
+                f"attribute {fd.rhs!r} already has {MAX_DETERMINERS} determiners"
             )
         target.determiner_slots.append(slot)
         for node in determiners:
@@ -226,33 +212,32 @@ class SchemaList:
                 )
         return out
 
-    def check_invariants(self, *, strict_order: bool = True) -> None:
+    def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is broken.
 
-        ``strict_order`` additionally checks the entry order against the
-        final determiner flags; lists whose determiner flags were declared
-        accurately at entry (the loader's lists) satisfy it.
+        The entry order is checked against the final determiner flags;
+        lists whose determiner flags were declared accurately at entry
+        (the loader's lists) satisfy it.
         """
         names = [n.attribute_name for n in self.nodes]
         assert len(names) == len(set(names)), "duplicate attribute names"
         assert self._by_name == {n.attribute_name: n for n in self.nodes}, "stale name index"
         ids = [n.node_id for n in self.nodes]
         assert all(a < b for a, b in zip(ids, ids[1:])), "node ids not strictly increasing"
-        assert len(self.nodes) <= self.limits.max_attributes
+        assert len(self.nodes) <= MAX_ATTRIBUTES
         id_set = set(ids)
         referenced: set[int] = set()
         for node in self.nodes:
-            assert len(node.determiner_slots) <= self.limits.max_determiners
+            assert len(node.determiner_slots) <= MAX_DETERMINERS
             assert len(set(node.determiner_slots)) == len(node.determiner_slots), "duplicate slots"
             for slot in node.determiner_slots:
                 assert slot, "empty determiner slot"
-                assert len(slot) <= self.limits.max_lhs
+                assert len(slot) <= MAX_LHS
                 assert slot <= id_set, "slot references a missing node"
                 referenced |= slot
         for node in self.nodes:
             assert node.is_determiner == (node.node_id in referenced), (
                 f"determiner flag inconsistent for {node.attribute_name!r}"
             )
-        if strict_order:
-            ranks = [_entry_rank(n.is_key_attribute, n.is_determiner) for n in self.nodes]
-            assert all(a <= b for a, b in zip(ranks, ranks[1:])), "entry order violated"
+        ranks = [_entry_rank(n.is_key_attribute, n.is_determiner) for n in self.nodes]
+        assert all(a <= b for a, b in zip(ranks, ranks[1:])), "entry order violated"

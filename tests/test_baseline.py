@@ -2,7 +2,6 @@ import pytest
 
 from relnorm import corpus
 from relnorm.baseline import (
-    CostModel,
     TwoListAttribute,
     TwoListFd,
     TwoListSchema,
@@ -57,10 +56,6 @@ class TestMemoryModel:
 
     def test_single_is_linear_in_attributes(self):
         assert memory_cells_single(single_list_with(40)) == 2 * memory_cells_single(single_list_with(20))
-
-    def test_cost_model_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            CostModel(name_cell=0)
 
 
 class TestTwoListClassification:

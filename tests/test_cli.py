@@ -76,6 +76,20 @@ class TestNormalize:
         assert code == 1
         assert "error" in err
 
+    def test_directory_argument(self, tmp_path):
+        code, out, err = invoke("normalize", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "latin1.schema"
+        bad.write_bytes("relation R\nattr caf\u00e9 key\n".encode("latin-1"))
+        code, out, err = invoke("normalize", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "can't decode" in err
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.schema"
         bad.write_text("attr a key\n", encoding="utf-8")
@@ -106,18 +120,6 @@ class TestVerifyCommand:
         assert "lossless: false" in out
         code, out, _ = invoke("normalize", str(path), "--nf", "3", "--verify")
         assert code == 2
-
-    def test_chase_without_fixpoint_exits_2(self, beer_path, monkeypatch):
-        def stuck(*args):
-            raise RuntimeError("chase failed to reach a fixpoint within its bound")
-
-        monkeypatch.setattr("relnorm.cli.is_lossless", stuck)
-        for argv in (("verify", beer_path), ("normalize", beer_path, "--verify", "--json")):
-            code, _, err = invoke(*argv)
-            assert code == 2
-            assert err.startswith("error: relation 'Beer_Relation': ")
-            assert "chase failed to reach a fixpoint" in err
-            assert "Traceback" not in err
 
     def test_wide_star_finishes(self, tmp_path):
         # one 30-column table at both normal forms: the preservation test

@@ -7,7 +7,6 @@ from relnorm.normalizer import (
     RawAttribute,
     RawKind,
     RawSchema,
-    attribute_info,
     build_schema_list,
     classify,
     decompose_2nf,
@@ -88,32 +87,30 @@ class TestFirstNormalForm:
 
 class TestAttributeInfo:
     def test_trace(self, trace_schema):
-        state = prepare(trace_schema)
-        non_key, primes, prime_ids = attribute_info(state.schema_list)
-        assert primes == ("a", "b")
-        assert prime_ids == frozenset({1, 2})
-        assert set(non_key) == set("cdefg")
+        c = classify(prepare(trace_schema).schema_list)
+        assert c.prime_attributes == ("a", "b")
+        assert c.prime_key_node_ids == frozenset({1, 2})
+        assert set(c.all_attributes) == set("cdefg")
 
     def test_employee(self, employee_schema):
-        state = prepare(employee_schema)
-        non_key, primes, _ = attribute_info(state.schema_list)
-        assert primes == ("e_id",)
-        assert set(non_key) == {"e_s_name", "j_class", "CHPH"}
+        c = classify(prepare(employee_schema).schema_list)
+        assert c.prime_attributes == ("e_id",)
+        assert set(c.all_attributes) == {"e_s_name", "j_class", "CHPH"}
 
     def test_all_key_relation(self):
         sl = SchemaList("R")
         sl.add_attribute("a", is_key=True)
         sl.add_attribute("b", is_key=True)
-        non_key, primes, prime_ids = attribute_info(sl)
-        assert non_key == ()
-        assert primes == ("a", "b")
-        assert prime_ids == frozenset({1, 2})
+        c = classify(sl)
+        assert c.all_attributes == ()
+        assert c.prime_attributes == ("a", "b")
+        assert c.prime_key_node_ids == frozenset({1, 2})
 
     def test_no_key(self):
         sl = SchemaList("R")
         sl.add_attribute("a")
         with pytest.raises(NoKeyDeclared):
-            attribute_info(sl)
+            classify(sl)
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 import pytest
 
 from relnorm.errors import (
+    CapacityExceeded,
     DeterminerSlotsExhausted,
     DuplicateAttribute,
     EntryOrderViolation,
@@ -12,7 +13,7 @@ from relnorm.errors import (
 from relnorm.schema_model import (
     AttributeKind,
     FunctionalDependency,
-    Limits,
+    MAX_ATTRIBUTES,
     SchemaList,
     create_node,
 )
@@ -95,13 +96,13 @@ class TestAddAttribute:
             sl.add_attribute("a")
 
     def test_capacity(self):
-        sl = SchemaList("R", limits=Limits(max_attributes=2))
-        sl.add_attribute("a", is_key=True)
-        sl.add_attribute("b")
-        from relnorm.errors import CapacityExceeded
-
-        with pytest.raises(CapacityExceeded):
-            sl.add_attribute("c")
+        sl = SchemaList("R")
+        sl.add_attribute("k", is_key=True)
+        for i in range(1, MAX_ATTRIBUTES):
+            sl.add_attribute(f"a{i}")
+        assert len(sl.nodes) == MAX_ATTRIBUTES == 9000
+        with pytest.raises(CapacityExceeded, match="already holds 9000 attributes"):
+            sl.add_attribute("z")
 
 
 class TestAddFd:
