@@ -54,7 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> PipelineState:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec drops a leading byte-order mark from exc.object
+        offset = len(data) - len(exc.object) + exc.start
+        raise NormalizationError(
+            f"{path}: not valid UTF-8 (byte {data[offset]:#04x} at offset {offset})"
+        ) from None
     return prepare(parse_schema_file(text))
 
 
@@ -180,10 +188,7 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIO | None = None, stde
     }
     try:
         return handlers[args.command](args, out, err)
-    except NormalizationError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except (NormalizationError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

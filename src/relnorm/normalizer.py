@@ -128,8 +128,7 @@ class Classification:
     ``a1`` lists the key attributes followed by every attribute that
     depends on exactly the whole key (or on nothing).  ``a2`` and ``a3``
     group partial and transitive dependents under their determiners, one
-    group per distinct determiner, in first-seen order.  ``all_attributes``
-    lists the attributes outside the key, in entry order.
+    group per distinct determiner, in first-seen order.
     """
 
     relation_name: str
@@ -137,8 +136,6 @@ class Classification:
     a2: tuple[DependencyGroup, ...]
     a3: tuple[DependencyGroup, ...]
     prime_attributes: tuple[str, ...]
-    prime_key_node_ids: frozenset[int]
-    all_attributes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -179,14 +176,11 @@ def bucket_determiners(
     name_of: dict[int, str] = {}
     primes: list[str] = []
     prime_id_list: list[int] = []
-    non_key: list[str] = []
     for attr_id, name, is_key, _ in attributes:
         name_of[attr_id] = name
         if is_key:
             primes.append(name)
             prime_id_list.append(attr_id)
-        else:
-            non_key.append(name)
     if not primes:
         raise NoKeyDeclared(f"relation {relation_name!r} has no key attribute")
     prime_ids = frozenset(prime_id_list)
@@ -221,8 +215,6 @@ def bucket_determiners(
         a2=freeze(a2),
         a3=freeze(a3),
         prime_attributes=tuple(primes),
-        prime_key_node_ids=prime_ids,
-        all_attributes=tuple(non_key),
     )
 
 
@@ -408,11 +400,3 @@ def prepare(raw: RawSchema) -> PipelineState:
         schema_list=schema_list,
         classification=classification,
     )
-
-
-def normalize(raw: RawSchema, *, to_3nf: bool) -> list[TableStructure]:
-    """Full pipeline: flatten, cover, classify, decompose."""
-    state = prepare(raw)
-    if to_3nf:
-        return decompose_3nf(state.classification)
-    return decompose_2nf(state.classification)

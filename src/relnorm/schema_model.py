@@ -121,20 +121,17 @@ def _entry_rank(is_key: bool, is_det: bool) -> int:
 class SchemaList:
     """Ordered attribute-node sequence for one relation.
 
-    Mutable while the relation is being entered; treated as an immutable
-    value afterwards.  The id counter lives inside the list, so distinct
-    relations never share state.
+    Built only by appends: a new list is empty, and ``add_attribute`` and
+    ``add_fd`` enter the relation.  Mutable while the relation is being
+    entered; treated as an immutable value afterwards.
     """
 
     relation_name: str
-    nodes: list[AttributeNode] = field(default_factory=list)
-    node_id_counter: int = 1
+    nodes: list[AttributeNode] = field(default_factory=list, init=False)
     # name -> node, kept up to date by add_attribute; not part of the value
-    _by_name: dict[str, AttributeNode] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # reversed, so that the first node of a name wins, as in a scan
-        self._by_name = {node.attribute_name: node for node in reversed(self.nodes)}
+    _by_name: dict[str, AttributeNode] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def find_node(self, name: str) -> AttributeNode | None:
         return self._by_name.get(name)
@@ -149,9 +146,9 @@ class SchemaList:
     ) -> int:
         """Append one attribute at the tail and return its node id.
 
-        The new node takes the current counter value as its id; the
-        counter then advances by one.  The append is rejected when the
-        declared flags would place the node before an earlier entry class.
+        Ids run 1..n in entry order; a rejected append takes no id.  The
+        append is rejected when the declared flags would place the node
+        before an earlier entry class.
         """
         if len(self.nodes) >= MAX_ATTRIBUTES:
             raise CapacityExceeded(
@@ -166,10 +163,9 @@ class SchemaList:
                     f"cannot append {name!r}: key attributes, then non-key determiners, "
                     "then remaining attributes"
                 )
-        node = create_node(name, kind, is_key=is_key, is_det=is_det, node_id=self.node_id_counter)
+        node = create_node(name, kind, is_key=is_key, is_det=is_det, node_id=len(self.nodes) + 1)
         self.nodes.append(node)
         self._by_name[name] = node
-        self.node_id_counter += 1
         return node.node_id
 
     def add_fd(self, fd: FunctionalDependency) -> None:
@@ -223,7 +219,7 @@ class SchemaList:
         assert len(names) == len(set(names)), "duplicate attribute names"
         assert self._by_name == {n.attribute_name: n for n in self.nodes}, "stale name index"
         ids = [n.node_id for n in self.nodes]
-        assert all(a < b for a, b in zip(ids, ids[1:])), "node ids not strictly increasing"
+        assert ids == list(range(1, len(ids) + 1)), "node ids not 1..n in entry order"
         assert len(self.nodes) <= MAX_ATTRIBUTES
         id_set = set(ids)
         referenced: set[int] = set()

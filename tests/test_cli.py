@@ -88,7 +88,26 @@ class TestNormalize:
         code, out, err = invoke("normalize", str(bad))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "can't decode" in err
+        assert err == f"error: {bad}: not valid UTF-8 (byte 0xe9 at offset 19)\n"
+
+    def test_non_utf8_offset_counts_a_byte_order_mark(self, tmp_path):
+        bad = tmp_path / "latin1.schema"
+        bad.write_bytes(b"\xef\xbb\xbf" + "relation R\nattr caf\u00e9 key\n".encode("latin-1"))
+        code, out, err = invoke("verify", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}: not valid UTF-8 (byte 0xe9 at offset 22)\n"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = corpus.corpus_text("Beer_Relation")
+        plain, marked = tmp_path / "plain.schema", tmp_path / "marked.schema"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for argv in (("normalize", "--nf", "3", "--ddl", "--verify"), ("verify",)):
+            code, out, err = invoke(*argv, str(marked))
+            assert (code, out, err) == invoke(*argv, str(plain))
+            assert code == 0 and out
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.schema"

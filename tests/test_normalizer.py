@@ -11,7 +11,6 @@ from relnorm.normalizer import (
     classify,
     decompose_2nf,
     decompose_3nf,
-    normalize,
     prepare,
     to_first_normal_form,
 )
@@ -24,6 +23,11 @@ def table_sets(tables):
 
 def groups(classification_groups):
     return {(frozenset(g.determiner), frozenset(g.dependents)) for g in classification_groups}
+
+
+def classified(c):
+    """Every attribute some bucket of ``c`` holds."""
+    return set(c.a1) | {name for g in c.a2 + c.a3 for name in g.dependents}
 
 
 class TestFirstNormalForm:
@@ -89,22 +93,21 @@ class TestAttributeInfo:
     def test_trace(self, trace_schema):
         c = classify(prepare(trace_schema).schema_list)
         assert c.prime_attributes == ("a", "b")
-        assert c.prime_key_node_ids == frozenset({1, 2})
-        assert set(c.all_attributes) == set("cdefg")
+        assert classified(c) == set("abcdefg")
 
     def test_employee(self, employee_schema):
         c = classify(prepare(employee_schema).schema_list)
         assert c.prime_attributes == ("e_id",)
-        assert set(c.all_attributes) == {"e_s_name", "j_class", "CHPH"}
+        assert classified(c) == {"e_id", "e_s_name", "j_class", "CHPH"}
 
     def test_all_key_relation(self):
         sl = SchemaList("R")
         sl.add_attribute("a", is_key=True)
         sl.add_attribute("b", is_key=True)
         c = classify(sl)
-        assert c.all_attributes == ()
+        assert c.a1 == ("a", "b")
+        assert c.a2 == c.a3 == ()
         assert c.prime_attributes == ("a", "b")
-        assert c.prime_key_node_ids == frozenset({1, 2})
 
     def test_no_key(self):
         sl = SchemaList("R")
@@ -197,8 +200,6 @@ class TestDecompose2nf:
             a2=(),
             a3=(DependencyGroup(("x", "z"), ("y",)),),
             prime_attributes=("k",),
-            prime_key_node_ids=frozenset({1}),
-            all_attributes=("x", "z", "y"),
         )
         tables = decompose_2nf(c)
         assert table_sets(tables) == {(frozenset({"k", "x", "z", "y"}), frozenset({"k"}))}
@@ -250,8 +251,6 @@ class TestDecompose3nf:
             a2=(),
             a3=(DependencyGroup(("x",), ("y",)),),
             prime_attributes=("k",),
-            prime_key_node_ids=frozenset({1}),
-            all_attributes=("x", "y"),
         )
         tables = decompose_3nf(c)
         main = next(t for t in tables if "k" in t.attributes)
@@ -261,16 +260,15 @@ class TestDecompose3nf:
 
 class TestNormalize:
     def test_trace_flag_off_gives_two_tables(self, trace_schema):
-        assert len(normalize(trace_schema, to_3nf=False)) == 2
+        assert len(decompose_2nf(prepare(trace_schema).classification)) == 2
 
     def test_trace_flag_on_gives_three_tables(self, trace_schema):
-        assert len(normalize(trace_schema, to_3nf=True)) == 3
+        assert len(decompose_3nf(prepare(trace_schema).classification)) == 3
 
     def test_key_only_relation(self):
-        raw = RawSchema("R", (RawAttribute("k", is_key=True),))
-        for flag in (False, True):
-            tables = normalize(raw, to_3nf=flag)
-            assert table_sets(tables) == {(frozenset({"k"}), frozenset({"k"}))}
+        c = prepare(RawSchema("R", (RawAttribute("k", is_key=True),))).classification
+        for decompose in (decompose_2nf, decompose_3nf):
+            assert table_sets(decompose(c)) == {(frozenset({"k"}), frozenset({"k"}))}
 
 
 class TestCorpusInvariants:

@@ -68,7 +68,26 @@ class TestAddAttribute:
         for name in "cdefg":
             sl.add_attribute(name)
         assert [n.node_id for n in sl.nodes] == [1, 2, 3, 4, 5, 6, 7]
-        assert sl.node_id_counter == 8
+
+    def test_rejected_append_takes_no_id(self):
+        sl = SchemaList("R")
+        assert sl.add_attribute("k", is_key=True) == 1
+        with pytest.raises(DuplicateAttribute):
+            sl.add_attribute("k")
+        assert sl.add_attribute("x") == 2
+        with pytest.raises(EntryOrderViolation):
+            sl.add_attribute("k2", is_key=True)
+        with pytest.raises(InvalidName):
+            sl.add_attribute("no-dash")
+        assert sl.add_attribute("y") == 3
+        assert [n.node_id for n in sl.nodes] == [1, 2, 3]
+        sl.check_invariants()
+
+    def test_nodes_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SchemaList("R", nodes=[create_node("k", is_key=True, node_id=1)])
+        with pytest.raises(TypeError):
+            SchemaList("R", node_id_counter=100)
 
     def test_append_to_empty_list(self):
         sl = SchemaList("R")
@@ -107,8 +126,8 @@ class TestAddAttribute:
 
 class TestAddFd:
     def test_multi_determiner_slots(self):
-        # A..G as determiners of H, ids starting at 100.
-        sl = SchemaList("demo", node_id_counter=100)
+        # A..G as determiners of H, ids 1..7.
+        sl = SchemaList("demo")
         for name in "ABCDEFG":
             sl.add_attribute(name, is_det=True)
         sl.add_attribute("H")
@@ -117,9 +136,9 @@ class TestAddFd:
         sl.add_fd(FD("G", "H"))
         h = sl.find_node("H")
         assert h.determiner_slots == [
-            frozenset({100, 101, 102, 103}),
-            frozenset({104, 105}),
-            frozenset({106}),
+            frozenset({1, 2, 3, 4}),
+            frozenset({5, 6}),
+            frozenset({7}),
         ]
 
     def test_employee_first_fd(self):
@@ -184,21 +203,14 @@ class TestFindNode:
         for node in sl.nodes:
             assert sl.find_node(node.attribute_name) is node
 
-    def test_index_covers_nodes_given_at_construction(self):
-        built = SchemaList("R")
-        built.add_attribute("k", is_key=True)
-        built.add_attribute("v")
-        given = SchemaList(
-            "R",
-            nodes=[create_node("k", is_key=True, node_id=1), create_node("v", node_id=2)],
-            node_id_counter=3,
-        )
-        assert given.find_node("v") is given.nodes[1]
-        given.check_invariants()
-        # the index is not part of the value
-        assert given == built
-        assert repr(given) == repr(built)
-        assert "_by_name" not in repr(given)
+    def test_index_is_not_part_of_the_value(self):
+        sl = SchemaList("R")
+        sl.add_attribute("k", is_key=True)
+        bare = SchemaList("R")
+        bare.nodes.extend(sl.nodes)  # the same nodes behind an empty index
+        assert bare == sl
+        assert repr(bare) == repr(sl)
+        assert "_by_name" not in repr(sl)
 
     def test_invariants_catch_a_node_added_behind_the_index(self):
         sl = SchemaList("R")
@@ -233,4 +245,4 @@ class TestInvariants:
         first = SchemaList("R1")
         first.add_attribute("a", is_key=True)
         second = SchemaList("R2")
-        assert second.node_id_counter == 1
+        assert second.add_attribute("a", is_key=True) == 1
