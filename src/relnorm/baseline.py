@@ -35,13 +35,12 @@ from .normalizer import (
     decompose_3nf,
     prepare,
 )
-from .schema_model import MAX_DETERMINERS, MAX_LHS, AttributeKind, SchemaList
+from .schema_model import MAX_DETERMINERS, MAX_LHS, SchemaList
 
 
 @dataclass(frozen=True)
 class TwoListAttribute:
     name: str
-    kind: AttributeKind = AttributeKind.ATOMIC
     is_key: bool = False
 
 
@@ -77,7 +76,13 @@ LINK_CELL = 4
 
 
 def memory_cells_single(schema_list: SchemaList) -> int:
-    """Bytes for the single-sequence layout: N times the ten-field node."""
+    """Bytes for the single-sequence layout: N times the ten-field node.
+
+    The cell model describes the paper's node, which keeps an attribute
+    type byte.  ``AttributeNode`` stores no kind, since every node is
+    atomic after 1NF flattening, but the byte is still counted so the
+    figures stay those of the paper's layout.
+    """
     per_node = (
         NAME_CELL            # attribute name
         + 2 * FLAG_CELL      # attribute type, determiner flag
@@ -104,7 +109,7 @@ def two_list_from_state(state: PipelineState, *, use_cover: bool) -> TwoListSche
     memory comparison uses).  Attribute order matches the single list.
     """
     attrs = tuple(
-        TwoListAttribute(node.attribute_name, node.attribute_type, node.is_key_attribute)
+        TwoListAttribute(node.attribute_name, node.is_key_attribute)
         for node in state.schema_list.nodes
     )
     source = state.cover if use_cover else state.split

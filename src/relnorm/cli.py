@@ -2,12 +2,13 @@
 
 Subcommands:
 
-    normalize <file> --nf {2,3} [--ddl] [--verify] [--json]
+    normalize <file> --nf {2,3} [--ddl | --json] [--verify]
     verify <file>
     bench [--reps N] [--csv PATH]
     corpus list
 
-Exit codes: 0 success, 1 input error, 2 verification failure.
+Exit codes: 0 success, 1 input error (usage errors included), 2
+verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 from . import corpus as corpus_mod
 from .baseline import bench
@@ -27,8 +28,19 @@ from .schema_file import parse_schema_file
 from .verifier import is_lossless, preserves_dependencies, scan_violations
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, an input error, rather
+    than argparse's 2, which here means a failed verification."""
+
+    def error(self, message: str) -> NoReturn:
+        try:
+            super().error(message)
+        except SystemExit:
+            raise SystemExit(1) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relnorm",
         description="Normalize a relation to second or third normal form.",
     )
@@ -37,9 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("normalize", help="decompose one schema file")
     p_norm.add_argument("file", help="schema file to normalize")
     p_norm.add_argument("--nf", type=int, choices=(2, 3), default=3, help="target normal form")
-    p_norm.add_argument("--ddl", action="store_true", help="also print CREATE TABLE statements")
+    output = p_norm.add_mutually_exclusive_group()
+    output.add_argument("--ddl", action="store_true", help="also print CREATE TABLE statements")
+    output.add_argument("--json", action="store_true", help="emit the tables as JSON")
     p_norm.add_argument("--verify", action="store_true", help="run the decomposition oracles")
-    p_norm.add_argument("--json", action="store_true", help="emit the tables as JSON")
 
     p_verify = sub.add_parser("verify", help="run the oracles at both normal forms")
     p_verify.add_argument("file", help="schema file to verify")

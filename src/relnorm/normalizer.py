@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import ComponentCollision, DuplicateAttribute, NoKeyDeclared, UnknownAttributeInFd
 from .fd_engine import FdSet, RawFd, minimal_cover, split_rhs
-from .schema_model import AttributeKind, SchemaList
+from .schema_model import SchemaList, _entry_rank
 
 
 class RawKind(Enum):
@@ -152,12 +152,6 @@ class TableStructure:
     attributes: list[str]
     primary_key: list[str]
     foreign_keys: list[ForeignKey] = field(default_factory=list)
-
-    def attribute_set(self) -> frozenset[str]:
-        return frozenset(self.attributes)
-
-    def key_set(self) -> frozenset[str]:
-        return frozenset(self.primary_key)
 
 
 def bucket_determiners(
@@ -342,24 +336,17 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
 def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     """Enter a flattened relation and its cover into a fresh node sequence.
 
-    Attributes are ordered into the required classes automatically: key
-    attributes, then non-key attributes acting as determiners in the
-    cover, then the rest, each class stable in declared order.
+    Attributes are entered in the order ``SchemaList.add_attribute``
+    requires: key attributes, then non-key attributes acting as
+    determiners in the cover, then the rest, each class stable in
+    declared order.
     """
     determiner_names: set[str] = set()
     for fd in cover:
         determiner_names |= fd.lhs
-    keys = [a for a in flat.attributes if a.is_key]
-    dets = [a for a in flat.attributes if not a.is_key and a.name in determiner_names]
-    rest = [a for a in flat.attributes if not a.is_key and a.name not in determiner_names]
     schema_list = SchemaList(flat.relation_name)
-    for attr in (*keys, *dets, *rest):
-        schema_list.add_attribute(
-            attr.name,
-            AttributeKind.ATOMIC,
-            is_key=attr.is_key,
-            is_det=attr.name in determiner_names,
-        )
+    for attr in sorted(flat.attributes, key=lambda a: _entry_rank(a.is_key, a.name in determiner_names)):
+        schema_list.add_attribute(attr.name, is_key=attr.is_key, is_det=attr.name in determiner_names)
     for fd in cover:
         schema_list.add_fd(fd)
     return schema_list

@@ -1,6 +1,7 @@
 """Line-oriented schema documents.
 
-Grammar ('#' starts a comment, blank lines ignored):
+Grammar ('#' starts a comment, blank lines ignored; any run of spaces or
+tabs separates a directive from its arguments):
 
     relation <Name>                          exactly once, first declaration
     attr <name> [key] [multivalued] [composite(<n1>, <n2>, ...)]
@@ -84,7 +85,8 @@ def parse_schema_file(text: str) -> RawSchema:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head = line.split(None, 1)[0]
+        rest = line[len(head):]
         if relation is None:
             if head != "relation":
                 raise SchemaSyntaxError(lineno, "expected 'relation <name>' as the first declaration")
@@ -118,20 +120,3 @@ def parse_schema_file(text: str) -> RawSchema:
             if name not in known:
                 raise UnknownAttributeInFd(f"line {lineno}: undeclared attribute {name!r}")
     return RawSchema(relation, tuple(attributes), tuple(fd for _, fd in fd_entries))
-
-
-def format_schema(schema: RawSchema) -> str:
-    """Serialize a raw relation back into the line grammar."""
-    lines = [f"relation {schema.relation_name}"]
-    for attr in schema.attributes:
-        parts = ["attr", attr.name]
-        if attr.is_key:
-            parts.append("key")
-        if attr.kind is RawKind.MULTIVALUED:
-            parts.append("multivalued")
-        if attr.kind is RawKind.COMPOSITE:
-            parts.append(f"composite({', '.join(attr.components)})")
-        lines.append(" ".join(parts))
-    for fd in schema.declared_fds:
-        lines.append(f"fd {', '.join(fd.lhs)} -> {', '.join(fd.rhs)}")
-    return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import (
     CapacityExceeded,
@@ -38,11 +37,6 @@ MAX_DETERMINERS = 4
 MAX_LHS = 4
 MAX_NAME_LEN = 100
 MAX_ATTRIBUTES = 9000
-
-
-class AttributeKind(Enum):
-    ATOMIC = "atomic"
-    MULTIVALUED = "multivalued"
 
 
 @dataclass(frozen=True)
@@ -73,41 +67,16 @@ class AttributeNode:
 
     ``determiner_slots`` holds one frozenset of node ids per stored
     left-hand side, in insertion order.  Slot order carries no meaning;
-    the slots of a node form a set of id-sets.
+    the slots of a node form a set of id-sets.  Nodes are built only by
+    ``SchemaList.add_attribute``, after 1NF flattening, so every node is
+    atomic and no attribute kind is stored.
     """
 
     attribute_name: str
-    attribute_type: AttributeKind
     is_determiner: bool
     node_id: int
     determiner_slots: list[frozenset[int]]
     is_key_attribute: bool
-
-
-def create_node(
-    name: str,
-    kind: AttributeKind = AttributeKind.ATOMIC,
-    *,
-    is_key: bool = False,
-    is_det: bool = False,
-    node_id: int,
-) -> AttributeNode:
-    """Build a detached node with empty determiner slots.
-
-    Raises InvalidName for an empty, malformed, or over-long name.
-    """
-    if not name or not _IDENTIFIER.match(name):
-        raise InvalidName(f"not a valid attribute name: {name!r}")
-    if len(name) > MAX_NAME_LEN:
-        raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
-    return AttributeNode(
-        attribute_name=name,
-        attribute_type=kind,
-        is_determiner=is_det,
-        node_id=node_id,
-        determiner_slots=[],
-        is_key_attribute=is_key,
-    )
 
 
 def _entry_rank(is_key: bool, is_det: bool) -> int:
@@ -136,19 +105,13 @@ class SchemaList:
     def find_node(self, name: str) -> AttributeNode | None:
         return self._by_name.get(name)
 
-    def add_attribute(
-        self,
-        name: str,
-        kind: AttributeKind = AttributeKind.ATOMIC,
-        *,
-        is_key: bool = False,
-        is_det: bool = False,
-    ) -> int:
+    def add_attribute(self, name: str, *, is_key: bool = False, is_det: bool = False) -> int:
         """Append one attribute at the tail and return its node id.
 
         Ids run 1..n in entry order; a rejected append takes no id.  The
         append is rejected when the declared flags would place the node
-        before an earlier entry class.
+        before an earlier entry class, and for an empty, malformed or
+        over-long name.
         """
         if len(self.nodes) >= MAX_ATTRIBUTES:
             raise CapacityExceeded(
@@ -163,7 +126,17 @@ class SchemaList:
                     f"cannot append {name!r}: key attributes, then non-key determiners, "
                     "then remaining attributes"
                 )
-        node = create_node(name, kind, is_key=is_key, is_det=is_det, node_id=len(self.nodes) + 1)
+        if not name or not _IDENTIFIER.match(name):
+            raise InvalidName(f"not a valid attribute name: {name!r}")
+        if len(name) > MAX_NAME_LEN:
+            raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
+        node = AttributeNode(
+            attribute_name=name,
+            is_determiner=is_det,
+            node_id=len(self.nodes) + 1,
+            determiner_slots=[],
+            is_key_attribute=is_key,
+        )
         self.nodes.append(node)
         self._by_name[name] = node
         return node.node_id

@@ -50,7 +50,7 @@ def criterion(number, label, budget_s):
 
 
 def shape(tables):
-    return {(t.attribute_set(), t.key_set()) for t in tables}
+    return {(frozenset(t.attributes), frozenset(t.primary_key)) for t in tables}
 
 
 def golden(entries):
@@ -177,7 +177,7 @@ def test_criterion_3_semantic_rows():
             universe = state.flat.attribute_names()
             for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
                 tables = decompose(state.classification)
-                union = set().union(*(t.attribute_set() for t in tables))
+                union = set().union(*(t.attributes for t in tables))
                 assert union == set(universe), name
                 assert is_lossless(universe, state.cover, tables), name
                 assert preserves_dependencies(state.cover, tables), name

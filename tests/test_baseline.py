@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from relnorm import corpus
@@ -11,7 +13,7 @@ from relnorm.baseline import (
     memory_cells_single,
     two_list_from_state,
 )
-from relnorm.errors import EmptyCorpus
+from relnorm.errors import EmptyCorpus, LhsTooLarge, UnknownAttribute
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_model import SchemaList
 
@@ -71,9 +73,27 @@ class TestTwoListClassification:
             covered = two_list_from_state(state, use_cover=True)
             baseline_c = classify_two_list(covered)
             for decompose in (decompose_2nf, decompose_3nf):
-                ours = {(t.attribute_set(), t.key_set()) for t in decompose(state.classification)}
-                theirs = {(t.attribute_set(), t.key_set()) for t in decompose(baseline_c)}
+                ours = {(frozenset(t.attributes), frozenset(t.primary_key)) for t in decompose(state.classification)}
+                theirs = {(frozenset(t.attributes), frozenset(t.primary_key)) for t in decompose(baseline_c)}
                 assert ours == theirs, raw.relation_name
+
+
+class TestTwoListSchemaChecks:
+    ATTRS = tuple(TwoListAttribute(name, is_key=name == "k") for name in ("k", "a", "b", "c", "d", "e"))
+
+    def test_five_wide_lhs_rejected(self):
+        with pytest.raises(LhsTooLarge, match="size 5"):
+            TwoListSchema("R", self.ATTRS, (TwoListFd(("k", "a", "b", "c", "d"), "e"),))
+        # four wide is the limit
+        TwoListSchema("R", self.ATTRS, (TwoListFd(("k", "a", "b", "c"), "e"),))
+
+    @pytest.mark.parametrize(
+        "fd, missing",
+        [(TwoListFd(("k", "z"), "a"), "['z']"), (TwoListFd(("k",), "y"), "['y']")],
+    )
+    def test_unknown_attribute_rejected(self, fd, missing):
+        with pytest.raises(UnknownAttribute, match=re.escape(missing)):
+            TwoListSchema("R", self.ATTRS, (fd,))
 
 
 class TestBench:

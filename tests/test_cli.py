@@ -201,3 +201,29 @@ class TestCorpusCommand:
         code, out, _ = invoke("corpus", "list")
         assert code == 0
         assert out.splitlines() == list(corpus.corpus_names())
+
+
+class TestUsageErrors:
+    # usage errors are input errors (1); 2 is kept for failed verification
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normalize", "x.schema", "--nf", "4"], "argument --nf: invalid choice: 4"),
+            (["normalize"], "the following arguments are required: file"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["normalize", "x.schema", "--json", "--ddl"], "argument --ddl: not allowed with argument --json"),
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relnorm")
+        assert message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("normalize", "--help")
+        assert exc.value.code == 0
+        assert "[--ddl | --json]" in capsys.readouterr().out

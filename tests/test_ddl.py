@@ -21,7 +21,7 @@ class TestEmitDdl:
         main_stmt = next(s for s in script.statements if "R_main" in s)
         assert "PRIMARY KEY (a, b)" in main_stmt
         # the main table references the transitive table, so it comes later
-        referenced = next(t.name for t in tables if t.key_set() == frozenset("d"))
+        referenced = next(t.name for t in tables if frozenset(t.primary_key) == frozenset("d"))
         assert script.text.index(f"CREATE TABLE {referenced} ") < script.text.index("CREATE TABLE R_main ")
 
     def test_empty_input(self):

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from relnorm.errors import ComponentCollision, NoKeyDeclared
 from relnorm.fd_engine import FdSet, RawFd
@@ -14,11 +16,11 @@ from relnorm.normalizer import (
     prepare,
     to_first_normal_form,
 )
-from relnorm.schema_model import SchemaList
+from relnorm.schema_model import MAX_DETERMINERS, FunctionalDependency, SchemaList
 
 
 def table_sets(tables):
-    return {(t.attribute_set(), t.key_set()) for t in tables}
+    return {(frozenset(t.attributes), frozenset(t.primary_key)) for t in tables}
 
 
 def groups(classification_groups):
@@ -213,8 +215,8 @@ class TestDecompose3nf:
             (frozenset("be"), frozenset("b")),
             (frozenset("dfg"), frozenset("d")),
         }
-        main = next(t for t in tables if t.key_set() == frozenset("ab"))
-        third = next(t for t in tables if t.key_set() == frozenset("d"))
+        main = next(t for t in tables if frozenset(t.primary_key) == frozenset("ab"))
+        third = next(t for t in tables if frozenset(t.primary_key) == frozenset("d"))
         # the transitive determiner is already in the main table: linked, not copied
         assert main.foreign_keys[0].references == third.name
         assert main.foreign_keys[0].columns == ("d",)
@@ -227,7 +229,7 @@ class TestDecompose3nf:
             (frozenset({"brewery", "city"}), frozenset({"brewery"})),
             (frozenset({"city", "region"}), frozenset({"city"})),
         }
-        brewery_host = next(t for t in tables if t.attribute_set() == frozenset({"beer", "brewery", "strength"}))
+        brewery_host = next(t for t in tables if frozenset(t.attributes) == frozenset({"beer", "brewery", "strength"}))
         assert [fk.columns for fk in brewery_host.foreign_keys] == [("brewery",)]
 
     def test_client_rental(self, corpus_schemas):
@@ -281,9 +283,9 @@ class TestCorpusInvariants:
                 decompose_2nf(state.classification),
                 decompose_3nf(state.classification),
             ):
-                union = set().union(*(t.attribute_set() for t in tables))
+                union = set().union(*(t.attributes for t in tables))
                 assert union == universe, raw.relation_name
-                assert any(primes <= t.attribute_set() for t in tables), raw.relation_name
+                assert any(primes <= frozenset(t.attributes) for t in tables), raw.relation_name
 
     def test_3nf_refines_2nf(self, corpus_schemas):
         for raw in corpus_schemas.values():
@@ -292,7 +294,7 @@ class TestCorpusInvariants:
             three = decompose_3nf(state.classification)
             for table in three:
                 assert any(
-                    table.attribute_set() <= other.attribute_set() for other in two
+                    frozenset(table.attributes) <= frozenset(other.attributes) for other in two
                 ), (raw.relation_name, table.name)
 
     def test_no_duplicate_columns_and_pk_inside(self, corpus_schemas):
@@ -307,3 +309,42 @@ class TestCorpusInvariants:
                     assert set(t.primary_key) <= set(t.attributes)
                     for fk in t.foreign_keys:
                         assert set(fk.columns) <= set(t.attributes)
+
+
+@st.composite
+def flat_relations(draw):
+    """An atomic relation with at least one key, plus a cover over it that
+    fits the node layout (LHS of at most 3, at most MAX_DETERMINERS
+    determiners per attribute)."""
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=1, max_value=12)))]
+    keys = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    keys[draw(st.integers(min_value=0, max_value=len(names) - 1))] = True
+    flat = RawSchema("R", tuple(RawAttribute(n, k) for n, k in zip(names, keys)))
+    fds: list[FunctionalDependency] = []
+    if len(names) > 1:
+        for rhs in draw(st.lists(st.sampled_from(names), max_size=16)):
+            if sum(fd.rhs == rhs for fd in fds) == MAX_DETERMINERS:
+                continue
+            others = [n for n in names if n != rhs]
+            lhs = draw(st.sets(st.sampled_from(others), min_size=1, max_size=min(3, len(others))))
+            fds.append(FunctionalDependency(frozenset(lhs), rhs))
+    return flat, FdSet(tuple(fds), tuple(names))
+
+
+class TestBuildSchemaList:
+    @given(flat_relations())
+    def test_nodes_in_entry_rank_then_declared_order(self, relation):
+        flat, cover = relation
+        determiners = set().union(*(fd.lhs for fd in cover))
+
+        def rank(attr):
+            if attr.is_key:
+                return 0
+            return 1 if attr.name in determiners else 2
+
+        position = {a.name: i for i, a in enumerate(flat.attributes)}
+        expected = sorted(flat.attributes, key=lambda a: (rank(a), position[a.name]))
+        schema_list = build_schema_list(flat, cover)
+        assert [n.attribute_name for n in schema_list.nodes] == [a.name for a in expected]
+        assert [n.node_id for n in schema_list.nodes] == list(range(1, len(expected) + 1))
+        schema_list.check_invariants()

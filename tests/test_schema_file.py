@@ -9,7 +9,7 @@ from relnorm.errors import (
 )
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import RawKind
-from relnorm.schema_file import format_schema, parse_schema_file
+from relnorm.schema_file import parse_schema_file
 
 EMPLOYEE_DOC = """\
 # employees with job classes
@@ -89,17 +89,11 @@ class TestParse:
         schema = parse_schema_file(doc)
         assert schema.declared_fds == (RawFd(("first",), ("last",)),)
 
-
-class TestRoundTrip:
-    def test_parse_format_parse(self):
-        first = parse_schema_file(EMPLOYEE_DOC)
-        second = parse_schema_file(format_schema(first))
-        assert first == second
-
-    def test_round_trip_over_corpus(self):
-        for name in corpus.corpus_names():
-            schema = corpus.load(name)
-            assert parse_schema_file(format_schema(schema)) == schema
+    def test_tabs_separate_directives_like_spaces(self):
+        tabbed = EMPLOYEE_DOC.replace("relation ", "relation\t").replace("fd ", "fd\t")
+        tabbed = tabbed.replace("attr ", "attr\t \t")
+        assert "relation\tEmployee" in tabbed and "fd\te_id" in tabbed and "attr\t \te_id" in tabbed
+        assert parse_schema_file(tabbed) == parse_schema_file(EMPLOYEE_DOC)
 
 
 class TestCorpusFixtures:

@@ -11,11 +11,9 @@ from relnorm.errors import (
     UnknownAttribute,
 )
 from relnorm.schema_model import (
-    AttributeKind,
     FunctionalDependency,
     MAX_ATTRIBUTES,
     SchemaList,
-    create_node,
 )
 
 FD = FunctionalDependency.of
@@ -33,31 +31,39 @@ def employee_list_in_source_order() -> SchemaList:
 
 
 class TestCreateNode:
+    # nodes are made only by appends; these check the node add_attribute builds
     def test_first_key_node(self):
-        node = create_node("e_id", AttributeKind.ATOMIC, is_key=True, is_det=True, node_id=1)
+        sl = SchemaList("R")
+        sl.add_attribute("e_id", is_key=True, is_det=True)
+        node = sl.nodes[0]
         assert node.attribute_name == "e_id"
-        assert node.attribute_type is AttributeKind.ATOMIC
         assert node.is_determiner is True
         assert node.node_id == 1
         assert node.determiner_slots == []
         assert node.is_key_attribute is True
 
     def test_plain_node_defaults(self):
-        node = create_node("x", node_id=5)
+        sl = SchemaList("R")
+        sl.add_attribute("x")
+        node = sl.nodes[0]
         assert node.is_key_attribute is False
         assert node.is_determiner is False
         assert node.determiner_slots == []
 
     def test_name_too_long(self):
-        with pytest.raises(InvalidName):
-            create_node("a" * 101, node_id=1)
+        sl = SchemaList("R")
+        with pytest.raises(InvalidName, match="longer than 100 characters"):
+            sl.add_attribute("a" * 101)
+        assert sl.nodes == []
         # exactly at the limit is fine
-        create_node("a" * 100, node_id=1)
+        sl.add_attribute("a" * 100)
 
     @pytest.mark.parametrize("bad", ["", "1abc", "a-b", "a b", "a.b"])
     def test_illegal_names(self, bad):
-        with pytest.raises(InvalidName):
-            create_node(bad, node_id=1)
+        sl = SchemaList("R")
+        with pytest.raises(InvalidName, match="not a valid attribute name"):
+            sl.add_attribute(bad)
+        assert sl.nodes == []
 
 
 class TestAddAttribute:
@@ -85,7 +91,7 @@ class TestAddAttribute:
 
     def test_nodes_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
-            SchemaList("R", nodes=[create_node("k", is_key=True, node_id=1)])
+            SchemaList("R", nodes=[])
         with pytest.raises(TypeError):
             SchemaList("R", node_id_counter=100)
 
@@ -215,7 +221,10 @@ class TestFindNode:
     def test_invariants_catch_a_node_added_behind_the_index(self):
         sl = SchemaList("R")
         sl.add_attribute("k", is_key=True)
-        sl.nodes.append(create_node("v", node_id=2))
+        other = SchemaList("S")
+        other.add_attribute("k", is_key=True)
+        other.add_attribute("v")
+        sl.nodes.append(other.nodes[1])
         with pytest.raises(AssertionError, match="name index"):
             sl.check_invariants()
 
