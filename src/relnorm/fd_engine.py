@@ -8,13 +8,16 @@ so results are deterministic for a given input.
 Every attribute-set closure in the package runs on one kernel,
 :class:`_Kernel`, the counter-based closure of Beeri and Bernstein.
 :func:`minimal_cover` builds it once and edits it in place between the
-thousands of closures a cover can need.
+thousands of closures a cover can need.  The decomposition oracles read a
+cover through :class:`_CoverIndex`, built once per ``FdSet``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import UnknownAttribute
@@ -35,6 +38,11 @@ class FdSet:
 
     Exact duplicates are dropped on construction, keeping the first
     occurrence.  Every attribute mentioned must belong to the universe.
+
+    The set is immutable, so the oracles in :mod:`relnorm.verifier` share
+    one read-only index of it, ``_index``, built on first use in time
+    linear in the universe plus the dependencies, and kept with the set.
+    It is not a field: equality, hashing and ``repr`` never see it.
     """
 
     fds: tuple[FunctionalDependency, ...]
@@ -60,6 +68,10 @@ class FdSet:
 
     def __len__(self) -> int:
         return len(self.fds)
+
+    @cached_property
+    def _index(self) -> _CoverIndex:
+        return _CoverIndex(self.fds, self.universe)
 
 
 def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
@@ -151,6 +163,48 @@ class _Kernel:
                         return reach
                     stack.append(gained)
         return reach
+
+
+class _CoverIndex:
+    """The read-only views of one cover that the oracles read, each built
+    on its first use and then shared by every later oracle call on the
+    cover.  Nothing here is edited once built.
+    """
+
+    def __init__(self, fds: tuple[FunctionalDependency, ...], universe: tuple[str, ...]) -> None:
+        self.fds, self.universe = fds, universe
+
+    @cached_property
+    def by_rhs(self) -> dict[str, tuple[int, ...]]:
+        """Right-hand attribute -> the positions of the dependencies that
+        produce it, in cover order."""
+        out: dict[str, tuple[int, ...]] = {}
+        for i, fd in enumerate(self.fds):
+            out[fd.rhs] = out.get(fd.rhs, ()) + (i,)
+        return out
+
+    @cached_property
+    def chase_rules(self) -> tuple[dict[str, int], tuple, tuple[tuple[int, ...], ...]]:
+        """The chase's view: ``(column, rules, users)``.  ``column`` numbers
+        the universe; rule i is the i-th dependency X -> A as (first column
+        of X, an ``itemgetter`` of the rest of X or None, A's column); and
+        ``users[c]`` lists the rules with column c in X."""
+        column = {name: c for c, name in enumerate(self.universe)}
+        rules = []
+        users: list[list[int]] = [[] for _ in column]
+        for i, fd in enumerate(self.fds):
+            lhs = sorted([column[name] for name in fd.lhs])
+            for c in lhs:
+                users[c].append(i)
+            rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
+        # tuples, which the collector stops tracking once they hold only ints
+        return column, tuple(rules), tuple(map(tuple, users))
+
+    @cached_property
+    def kernel(self) -> _Kernel:
+        """A closure kernel over the cover.  Only its walks run: its pairs
+        are never edited."""
+        return _Kernel(self.fds)
 
 
 def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:

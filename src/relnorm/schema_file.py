@@ -7,7 +7,8 @@ tabs separates a directive from its arguments):
     attr <name> [key] [multivalued] [composite(<n1>, <n2>, ...)]
     fd <a>[, <b> ...] -> <c>[, <d> ...]
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``.  Key attributes may appear
+Identifiers match ``[A-Za-z_][A-Za-z0-9_]*`` and are at most
+``MAX_NAME_LEN`` (100) characters long.  Key attributes may appear
 anywhere in the file; the normalizer orders entries before building the
 node sequence.
 """
@@ -19,7 +20,7 @@ import re
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttributeInFd
 from .fd_engine import RawFd
 from .normalizer import RawAttribute, RawKind, RawSchema
-from .schema_model import _IDENTIFIER
+from .schema_model import _IDENTIFIER, MAX_NAME_LEN
 
 _COMPOSITE = re.compile(r"composite\(([^()]*)\)")
 
@@ -27,6 +28,8 @@ _COMPOSITE = re.compile(r"composite\(([^()]*)\)")
 def _require_identifier(lineno: int, token: str, what: str) -> str:
     if not _IDENTIFIER.match(token):
         raise SchemaSyntaxError(lineno, f"invalid {what}: {token!r}")
+    if len(token) > MAX_NAME_LEN:
+        raise SchemaSyntaxError(lineno, f"{what} longer than {MAX_NAME_LEN} characters: {token[:20]!r}...")
     return token
 
 

@@ -11,9 +11,25 @@ left-hand side under the union of the per-table projections is grown
 table by table, through the closure of what each table already sees,
 without ever computing a projection.  A dependency embedded in one table
 (its left- and right-hand attributes all inside it) is preserved without
-a closure; the others share one closure kernel built once per call.  Both
-tests are exact and polynomial; no heuristic projection is used, so the
-verdicts here are trustworthy for auditing the normalizer.
+a closure.  Both tests are exact and polynomial; no heuristic projection
+is used, so the verdicts here are trustworthy for auditing the normalizer.
+
+Every oracle reads the cover through its index (``FdSet._index``), built
+once per cover at the first oracle call and shared by every later call,
+both normal forms and every table: the dependencies per right-hand
+attribute, the chase's rules, and one closure kernel.  Each part is built
+on first use, in time linear in the universe plus the cover.  With the
+index built, the costs are:
+
+- ``scan_violations``: the table's width plus the dependencies whose
+  right-hand side is a non-key attribute of the table, so scanning every
+  table of a decomposition is linear in the tables plus the cover;
+- ``preserves_dependencies``: the tables' widths, plus one subset test
+  per dependency and table holding its right-hand attribute; a dependency
+  no table embeds then takes rounds of one closure per table, and only
+  such a dependency builds the kernel;
+- ``is_lossless``: the tableau (tables × universe) plus the rule firings,
+  each a pass over the merged classes of one column.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import AttributeOutsideUniverse
-from .fd_engine import FdSet, _Kernel
+from .fd_engine import FdSet
 from .normalizer import TableStructure
 
 
@@ -42,7 +58,8 @@ class Violation:
     determiner: frozenset[str]
 
 
-def _check_within_universe(tables: Sequence[TableStructure], universe: Sequence[str]) -> None:
+def _check_within_universe(tables: Sequence[TableStructure], universe: Sequence[str]) -> set[str]:
+    """The universe as a set, once every table is checked to lie inside it."""
     known = set(universe)
     for table in tables:
         outside = set(table.attributes) - known
@@ -50,6 +67,7 @@ def _check_within_universe(tables: Sequence[TableStructure], universe: Sequence[
             raise AttributeOutsideUniverse(
                 f"table {table.name!r} mentions attributes outside the universe: {sorted(outside)}"
             )
+    return known
 
 
 def is_lossless(
@@ -76,32 +94,37 @@ def is_lossless(
     the number of rows.  It returns True as soon as a row's last
     non-distinguished cell becomes distinguished, and False when the queue
     runs dry first.
+
+    Every table and every attribute of the cover's universe must lie in
+    ``universe``; otherwise :class:`AttributeOutsideUniverse` is raised.
     """
-    _check_within_universe(tables, universe)
-    column = {name: c for c, name in enumerate(dict.fromkeys(universe))}
-    width = len(column)
+    known = _check_within_universe(tables, universe)
+    outside = set(fds.universe) - known
+    if outside:
+        raise AttributeOutsideUniverse(
+            f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
+        )
+    # Columns are numbered by the cover's universe.  Any other name of
+    # ``universe`` is a column no rule reads or writes, so a row's cell
+    # there never changes and only counts towards the row's missing cells.
+    column, rules, users = fds._index.chase_rules
+    width = len(known)
     rows = []
     classes: list[dict[int, list[int]]] = [{} for _ in column]
     missing = []  # per row, the cells not yet distinguished
     for r, table in enumerate(tables):
-        row = [r + 1] * width
-        owned = {column[name] for name in table.attributes}
-        for c in owned:
-            row[c] = 0
-            classes[c].setdefault(0, []).append(r)
+        row = [r + 1] * len(column)
+        owned = set(table.attributes)
+        for name in owned:
+            c = column.get(name)
+            if c is not None:
+                row[c] = 0
+                classes[c].setdefault(0, []).append(r)
         rows.append(row)
         missing.append(width - len(owned))
     if not all(missing):
         return True
 
-    # rule i: (first column of X, the rest of X read off a row, A)
-    rules = []
-    users: list[list[int]] = [[] for _ in column]  # per column, the rules with it in X
-    for i, fd in enumerate(fds):
-        lhs = sorted([column[name] for name in fd.lhs])
-        for c in lhs:
-            users[c].append(i)
-        rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
     queue = deque(range(len(rules)))
     queued = [True] * len(rules)
     while queue:
@@ -154,10 +177,10 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     for every table T until it stops growing or holds A; A is then implied
     by the projections iff it lies in Z (Beeri & Honeyman, SIAM J. Comput.
     1981).  A table T with Z ∩ T empty or equal to T adds nothing and is
-    skipped.  One closure kernel serves every closure of the call.
+    skipped.  Every closure runs on the cover index's kernel, which is
+    built only when some dependency is not embedded.
     """
     _check_within_universe(tables, fds.universe)
-    kernel = _Kernel(fds)
     parts = [frozenset(table.attributes) for table in tables]
     holders: dict[str, list[frozenset[str]]] = {}
     for part in parts:
@@ -166,6 +189,7 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     for fd in fds:
         if any(fd.lhs <= part for part in holders.get(fd.rhs, ())):
             continue
+        kernel = fds._index.kernel
         reach, seen = set(fd.lhs), 0
         while seen < len(reach) and fd.rhs not in reach:
             seen = len(reach)
@@ -188,22 +212,25 @@ def scan_violations(
     subset of the key; a transitive violation is a non-key attribute
     determined, inside the table, by a set that is not contained in the
     key and touches a non-key attribute.
+
+    Only the dependencies whose right-hand side is a non-key attribute of
+    the table are read, found through the cover index; violations come
+    out in cover order.
     """
     if mode not in ("2nf", "3nf"):
         raise ValueError(f"mode must be '2nf' or '3nf', got {mode!r}")
     pk = set(table.primary_key)
     attrs = set(table.attributes)
-    found: list[Violation] = []
-    for fd in fds:
-        if fd.rhs not in attrs or fd.rhs in pk:
-            continue
-        if fd.lhs < pk:
-            found.append(Violation(table.name, ViolationKind.PARTIAL, fd.rhs, fd.lhs))
-        elif (
-            mode == "3nf"
-            and fd.lhs <= attrs
-            and not fd.lhs <= pk
-            and fd.lhs & (attrs - pk)
-        ):
-            found.append(Violation(table.name, ViolationKind.TRANSITIVE, fd.rhs, fd.lhs))
-    return found
+    transitive = mode == "3nf"
+    producers, cover = fds._index.by_rhs, fds.fds
+    hits = []
+    for name in attrs - pk:
+        for i in producers.get(name, ()):
+            fd = cover[i]
+            if fd.lhs < pk:
+                hits.append((i, ViolationKind.PARTIAL, fd))
+            # inside the table and not inside the key, X touches a non-key attribute
+            elif transitive and fd.lhs <= attrs and not fd.lhs <= pk:
+                hits.append((i, ViolationKind.TRANSITIVE, fd))
+    hits.sort(key=itemgetter(0))
+    return [Violation(table.name, kind, fd.rhs, fd.lhs) for _, kind, fd in hits]

@@ -147,6 +147,28 @@ def brute_lossless(fds: FdSet, tables) -> bool:
     return any(not any(row) for row in rows)
 
 
+def full_scan_violations(attributes, primary_key, fds: FdSet, mode: str) -> list[tuple[str, str, frozenset[str]]]:
+    """Violations of one table by a scan of every dependency, in order.
+
+    A dependency X -> A with A a non-key attribute of the table is partial
+    when X is a proper subset of the key; in ``3nf`` mode it is otherwise
+    transitive when X lies inside the table, is not inside the key and
+    holds a non-key attribute.  Returns ``(kind, A, X)`` triples, kind
+    being ``"partial"`` or ``"transitive"``.
+    """
+    attrs, key = set(attributes), set(primary_key)
+    nonkey = attrs - key
+    found = []
+    for fd in fds:
+        if fd.rhs not in nonkey:
+            continue
+        if fd.lhs < key:
+            found.append(("partial", fd.rhs, fd.lhs))
+        elif mode == "3nf" and fd.lhs <= attrs and not fd.lhs <= key and fd.lhs & nonkey:
+            found.append(("transitive", fd.rhs, fd.lhs))
+    return found
+
+
 def reference_cover(fds: FdSet) -> tuple[tuple[frozenset[str], str], ...]:
     """Canonical cover by the pop/insert algorithm, over bitmask closures.
 

@@ -116,6 +116,22 @@ class TestNormalize:
         assert code == 1
         assert "relation" in err
 
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            (f"relation R\nattr k key\nattr {'a' * 101}\n", "error: line 3: attribute name longer than 100"),
+            (f"relation {'R' * 5000}\nattr k key\n", "error: line 1: relation name longer than 100"),
+        ],
+        ids=["attribute", "relation"],
+    )
+    def test_over_long_name_names_its_line(self, tmp_path, doc, expected):
+        path = tmp_path / "long.schema"
+        path.write_text(doc, encoding="utf-8")
+        for argv in (("normalize", str(path)), ("verify", str(path))):
+            code, out, err = invoke(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(expected)
+
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]
         assert runs[0] == runs[1]

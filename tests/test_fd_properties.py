@@ -1,7 +1,7 @@
 """Property tests for the set-algebra operators."""
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 
 from oracles import (
     brute_closure,
@@ -9,6 +9,7 @@ from oracles import (
     brute_preserves,
     compile_rules,
     equivalent_on_all_subsets,
+    full_scan_violations,
     has_extraneous_lhs_attribute,
     has_redundant_fd,
     mask_closure,
@@ -17,7 +18,7 @@ from oracles import (
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency, SchemaList
-from relnorm.verifier import is_lossless, preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
 
 UNIVERSE = tuple("abcdef")
 
@@ -189,3 +190,44 @@ def test_is_lossless_on_two_tables_is_heaths_test(data):
     reach = mask_closure(r1 & r2, compile_rules(fds, fds.universe), len(fds.universe))
     expected = reach & r1 == r1 or reach & r2 == r2
     assert is_lossless(fds.universe, fds, tables) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_is_lossless_reads_names_outside_the_cover_as_idle_columns(data):
+    # universe names the cover's universe lacks are columns no rule reads
+    fds = data.draw(fd_sets())
+    tables = data.draw(covering_tables(fds.universe, high=5))
+    mentioned = {name for fd in fds for name in (*fd.lhs, fd.rhs)}
+    narrow = FdSet(fds.fds, tuple(name for name in fds.universe if name in mentioned))
+    expected = brute_lossless(fds, [t.attributes for t in tables])
+    assert is_lossless(fds.universe, narrow, tables) == expected
+
+
+@st.composite
+def keyed_tables(draw, universe):
+    """Arbitrary tables over ``universe``: attributes in any order, repeats
+    allowed, and a key drawn mostly from the table's own attributes but
+    possibly holding one attribute from outside it."""
+    tables = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        attributes = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=8))
+        key = draw(st.lists(st.sampled_from(attributes), max_size=3, unique=True))
+        key += draw(st.lists(st.sampled_from(universe), max_size=1))
+        tables.append(TableStructure(f"t{i}", attributes, key))
+    return tables
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_scan_violations_matches_a_full_scan(data):
+    # every table and both modes read one cover, and so one index
+    fds = data.draw(fd_sets())
+    tables = data.draw(keyed_tables(fds.universe))
+    for mode in ("2nf", "3nf"):
+        for table in tables:
+            expected = full_scan_violations(table.attributes, table.primary_key, fds, mode)
+            got = scan_violations(table, fds, mode)
+            assert [(v.kind.value, v.dependent, v.determiner) for v in got] == expected
+            assert {v.table for v in got} <= {table.name}
+            event(f"{mode}: {'violations' if expected else 'clean'}")

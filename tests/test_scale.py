@@ -4,7 +4,7 @@ attributes plus dependencies would take minutes; no timing is asserted."""
 from relnorm.ddl import emit_ddl
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
-from relnorm.verifier import is_lossless, preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
 
 
 def plain(tables):
@@ -37,6 +37,8 @@ def test_chain_of_a_thousand():
     assert preserves_dependencies(state.cover, t3)
     assert is_lossless(a, state.cover, t2)
     assert is_lossless(a, state.cover, t3)
+    assert not any(scan_violations(t, state.cover, "2nf") for t in t2)
+    assert not any(scan_violations(t, state.cover, "3nf") for t in t3)
 
 
 def test_star_three_thousand_wide():
@@ -49,7 +51,9 @@ def test_star_three_thousand_wide():
     )
     state = prepare(raw)
     expected = [("Star_main", ["k", *dependents], ["k"], [])]
-    for tables in (decompose_2nf(state.classification), decompose_3nf(state.classification)):
+    for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
+        tables = decompose(state.classification)
         assert plain(tables) == expected
         assert preserves_dependencies(state.cover, tables)
         assert is_lossless(["k", *dependents], state.cover, tables)
+        assert not any(scan_violations(t, state.cover, mode) for t in tables)

@@ -10,6 +10,7 @@ from relnorm.errors import (
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import RawKind
 from relnorm.schema_file import parse_schema_file
+from relnorm.schema_model import MAX_NAME_LEN
 
 EMPLOYEE_DOC = """\
 # employees with job classes
@@ -69,6 +70,29 @@ class TestParse:
             assert exc.line == 3
         else:
             pytest.fail("expected a syntax error")
+
+    @pytest.mark.parametrize(
+        "doc, line, what",
+        [
+            ("relation R\nattr k key\nattr {long}\n", 3, "attribute name"),
+            ("relation {long}\nattr k key\n", 1, "relation name"),
+            ("relation R\nattr k key\nattr n composite(a, {long})\n", 3, "component name"),
+            ("relation R\nattr k key\nattr a\nfd {long} -> a\n", 4, "left-hand attribute"),
+            ("relation R\nattr k key\nattr a\nfd k -> a, {long}\n", 4, "right-hand attribute"),
+        ],
+        ids=["attribute", "relation", "component", "fd-left", "fd-right"],
+    )
+    def test_over_long_name_is_a_syntax_error(self, doc, line, what):
+        for length in (MAX_NAME_LEN + 1, 5000):
+            with pytest.raises(SchemaSyntaxError) as caught:
+                parse_schema_file(doc.format(long="n" * length))
+            assert caught.value.line == line
+            assert caught.value.message.startswith(f"{what} longer than {MAX_NAME_LEN} characters")
+
+    def test_name_of_the_maximum_length_is_accepted(self):
+        name = "n" * MAX_NAME_LEN
+        schema = parse_schema_file(f"relation {name}\nattr {name} key\n")
+        assert schema.relation_name == name and schema.key_names() == (name,)
 
     def test_multivalued_and_composite_flags(self):
         doc = (

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from relnorm.errors import AttributeOutsideUniverse
@@ -51,6 +53,11 @@ class TestIsLossless:
         with pytest.raises(AttributeOutsideUniverse):
             is_lossless(("a",), fds, [table("t", "ab", "a")])
 
+    def test_cover_attribute_outside_universe(self):
+        fds = FdSet((FD("a", "b"),), ("a", "b"))
+        with pytest.raises(AttributeOutsideUniverse, match=r"\['b'\]"):
+            is_lossless(("a",), fds, [table("t", "a", "a")])
+
     def test_corpus_all_lossless_both_forms(self, corpus_schemas):
         for raw in corpus_schemas.values():
             state = prepare(raw)
@@ -74,6 +81,13 @@ class TestPreservesDependencies:
         fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
         tables = [table("t1", "ab", "a"), table("t2", "ac", "a")]
         assert preserves_dependencies(fds, tables) is False
+
+    def test_kernel_is_built_only_for_a_dependency_no_table_embeds(self):
+        fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
+        assert preserves_dependencies(fds, [table("t1", "ab", "a"), table("t2", "bc", "b")])
+        assert "kernel" not in vars(fds._index)
+        assert not preserves_dependencies(fds, [table("t1", "ab", "a"), table("t2", "ac", "a")])
+        assert "kernel" in vars(fds._index)
 
     def test_corpus_3nf_all_preserved(self, corpus_schemas):
         for raw in corpus_schemas.values():
@@ -120,3 +134,24 @@ class TestScanViolations:
             for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
                 for t in decompose(state.classification):
                     assert scan_violations(t, state.cover, mode) == [], (raw.relation_name, t.name)
+
+
+class TestCoverIndex:
+    def test_index_is_invisible_to_equality_hash_and_repr(self, corpus_schemas):
+        state = prepare(corpus_schemas["Beer_Relation"])
+        cover = state.cover
+        twin = FdSet(cover.fds, cover.universe)
+        before = (hash(cover), repr(cover))
+        # every oracle, both normal forms: builds every part of the index
+        for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
+            tables = decompose(state.classification)
+            is_lossless(cover.universe, cover, tables)
+            preserves_dependencies(cover, tables)
+            preserves_dependencies(cover, tables[:1])
+            for t in tables:
+                scan_violations(t, cover, mode)
+        assert {"by_rhs", "chase_rules", "kernel"} <= set(vars(cover._index))
+        assert "_index" not in vars(twin)
+        assert cover == twin and hash(cover) == hash(twin)
+        assert (hash(cover), repr(cover)) == before == (hash(twin), repr(twin))
+        assert "_index" not in {f.name for f in fields(FdSet)}
