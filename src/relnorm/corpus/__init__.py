@@ -7,35 +7,24 @@ from importlib import resources
 from ..normalizer import RawSchema
 from ..schema_file import parse_schema_file
 
-# Canonical corpus, in source order.
-CORPUS_NAMES: tuple[str, ...] = (
-    "Beer_Relation",
-    "GH_Relation",
-    "ClientRental",
-    "AB_Relation",
-    "Invoice",
-    "Emp",
-    "Project",
-    "WellmeadowsHospital",
-    "StaffPropertyInspection",
-    "Report",
-)
-
-_FILES: dict[str, str] = {
-    "Beer_Relation": "beer.schema",
-    "GH_Relation": "gh.schema",
-    "ClientRental": "client_rental.schema",
-    "AB_Relation": "ab.schema",
-    "Invoice": "invoice.schema",
-    "Emp": "emp.schema",
-    "Project": "project.schema",
-    "WellmeadowsHospital": "wellmeadows.schema",
-    "StaffPropertyInspection": "staff_property_inspection.schema",
-    "Report": "report.schema",
-    # extra worked examples, not part of the canonical corpus
-    "Trace": "trace.schema",
-    "Employee": "employee.schema",
+# name -> (schema file, extra): the canonical corpus in source order, then
+# the extra worked examples, which are not part of it
+_FILES: dict[str, tuple[str, bool]] = {
+    "Beer_Relation": ("beer.schema", False),
+    "GH_Relation": ("gh.schema", False),
+    "ClientRental": ("client_rental.schema", False),
+    "AB_Relation": ("ab.schema", False),
+    "Invoice": ("invoice.schema", False),
+    "Emp": ("emp.schema", False),
+    "Project": ("project.schema", False),
+    "WellmeadowsHospital": ("wellmeadows.schema", False),
+    "StaffPropertyInspection": ("staff_property_inspection.schema", False),
+    "Report": ("report.schema", False),
+    "Trace": ("trace.schema", True),
+    "Employee": ("employee.schema", True),
 }
+
+CORPUS_NAMES: tuple[str, ...] = tuple(name for name, (_, extra) in _FILES.items() if not extra)
 
 
 def corpus_names() -> tuple[str, ...]:
@@ -43,12 +32,11 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def corpus_text(name: str) -> str:
-    filename = _FILES[name]
-    return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
+    return corpus_path(name).read_text(encoding="utf-8")
 
 
 def corpus_path(name: str):
-    return resources.files(__package__).joinpath(_FILES[name])
+    return resources.files(__package__).joinpath(_FILES[name][0])
 
 
 def load(name: str) -> RawSchema:

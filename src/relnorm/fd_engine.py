@@ -6,21 +6,21 @@ order; every derived ordering here is stable with respect to that order,
 so results are deterministic for a given input.
 
 Every attribute-set closure in the package runs on one kernel,
-:class:`_Kernel`, the counter-based closure of Beeri and Bernstein.
-:func:`minimal_cover` builds it once and edits it in place between the
-thousands of closures a cover can need.  The decomposition oracles read a
-cover through :class:`_CoverIndex`, built once per ``FdSet``.
+:class:`_Kernel`, the counter-based closure of Beeri and Bernstein.  Each
+``FdSet`` builds one on first use and keeps it, read-only, for
+:func:`closure`, :func:`implies` and the decomposition oracles;
+:func:`minimal_cover` builds its own and edits it in place between the
+thousands of closures a cover can need.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .errors import UnknownAttribute
+from .errors import DuplicateAttribute, UnknownAttribute
 from .schema_model import FunctionalDependency
 
 
@@ -39,10 +39,13 @@ class FdSet:
     Exact duplicates are dropped on construction, keeping the first
     occurrence.  Every attribute mentioned must belong to the universe.
 
-    The set is immutable, so the oracles in :mod:`relnorm.verifier` share
-    one read-only index of it, ``_index``, built on first use in time
-    linear in the universe plus the dependencies, and kept with the set.
-    It is not a field: equality, hashing and ``repr`` never see it.
+    The set is immutable, so it keeps three read-only views of itself,
+    each built on first use in time linear in the universe plus the
+    dependencies and then shared by every later :func:`closure`,
+    :func:`implies` and oracle call in :mod:`relnorm.verifier`: the
+    producers of each right-hand attribute (``_by_rhs``), the chase's
+    rules (``_chase_rules``) and a closure kernel (``_kernel``).  None is
+    a field: equality, hashing and ``repr`` never see them.
     """
 
     fds: tuple[FunctionalDependency, ...]
@@ -51,7 +54,7 @@ class FdSet:
     def __post_init__(self) -> None:
         known = set(self.universe)
         if len(known) != len(self.universe):
-            raise UnknownAttribute("universe contains duplicate names")
+            raise DuplicateAttribute("universe contains duplicate names")
         seen: set[FunctionalDependency] = set()
         unique: list[FunctionalDependency] = []
         for fd in self.fds:
@@ -70,8 +73,36 @@ class FdSet:
         return len(self.fds)
 
     @cached_property
-    def _index(self) -> _CoverIndex:
-        return _CoverIndex(self.fds, self.universe)
+    def _by_rhs(self) -> dict[str, tuple[int, ...]]:
+        """Right-hand attribute -> the positions of the dependencies that
+        produce it, in cover order."""
+        out: dict[str, tuple[int, ...]] = {}
+        for i, fd in enumerate(self.fds):
+            out[fd.rhs] = out.get(fd.rhs, ()) + (i,)
+        return out
+
+    @cached_property
+    def _chase_rules(self) -> tuple[dict[str, int], tuple, tuple[tuple[int, ...], ...]]:
+        """The chase's view: ``(column, rules, users)``.  ``column`` numbers
+        the universe; rule i is the i-th dependency X -> A as (first column
+        of X, an ``itemgetter`` of the rest of X or None, A's column); and
+        ``users[c]`` lists the rules with column c in X."""
+        column = {name: c for c, name in enumerate(self.universe)}
+        rules = []
+        users: list[list[int]] = [[] for _ in column]
+        for i, fd in enumerate(self.fds):
+            lhs = sorted([column[name] for name in fd.lhs])
+            for c in lhs:
+                users[c].append(i)
+            rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
+        # tuples, which the collector stops tracking once they hold only ints
+        return column, tuple(rules), tuple(map(tuple, users))
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        """A closure kernel over the cover.  Only its walks run: its pairs
+        are never edited."""
+        return _Kernel(self)
 
 
 def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
@@ -94,33 +125,31 @@ class _Kernel:
     """The closure kernel: a counter-based closure over dependencies
     (Beeri & Bernstein, TODS 1979).
 
-    The index is built once: for each attribute, the pairs (dependencies)
-    whose left-hand side holds it, and for each right-hand attribute, how
-    many live pairs produce it.  A closure walks the attributes it
-    reaches, counting down a per-pair missing count (kept only for the
-    pairs it touches) and firing a pair when its count reaches zero, so
-    one closure costs time linear in the pairs it touches.  Asked about a
-    goal attribute, it stops on reaching it, and answers at once when no
-    live pair produces it.  Callers may edit the pairs between closures
-    with :meth:`drop_lhs_attr` and :meth:`set_live`; the index follows
-    every edit.
+    The index is built once: for each attribute of the universe, the pairs
+    (dependencies) whose left-hand side holds it, and how many live pairs
+    produce it.  A closure walks the attributes it reaches, counting down
+    a per-pair missing count (kept only for the pairs it touches) and
+    firing a pair when its count reaches zero, so one closure costs time
+    linear in the pairs it touches.  Asked about a goal attribute, it stops
+    on reaching it, and answers at once when no live pair produces it.  A
+    walk only reads the index.  Callers may edit the pairs between
+    closures with :meth:`drop_lhs_attr` and :meth:`set_live`; the index
+    follows every edit.
     """
 
-    def __init__(self, fds: Iterable[FunctionalDependency]) -> None:
-        lhs_of: list[frozenset[str]] = []
-        rhs_of: list[str] = []
-        users: defaultdict[str, list[int]] = defaultdict(list)
-        producers: defaultdict[str, int] = defaultdict(int)
+    def __init__(self, fds: FdSet) -> None:
+        users: dict[str, list[int]] = {name: [] for name in fds.universe}
+        producers = dict.fromkeys(fds.universe, 0)
         for i, fd in enumerate(fds):
-            lhs_of.append(fd.lhs)
-            rhs_of.append(fd.rhs)
             for name in fd.lhs:
                 users[name].append(i)
             producers[fd.rhs] += 1
         # pair i is the i-th dependency, as (lhs[i], rhs[i])
-        self.lhs, self.rhs, self.users, self.producers = lhs_of, rhs_of, users, producers
-        self.width = [len(lhs) for lhs in lhs_of]
-        self.live = [True] * len(rhs_of)
+        self.lhs = [fd.lhs for fd in fds]
+        self.rhs = [fd.rhs for fd in fds]
+        self.users, self.producers = users, producers
+        self.width = [len(lhs) for lhs in self.lhs]
+        self.live = [True] * len(self.rhs)
 
     def drop_lhs_attr(self, i: int, name: str) -> None:
         """Remove ``name`` from the left-hand side of pair ``i``."""
@@ -165,48 +194,6 @@ class _Kernel:
         return reach
 
 
-class _CoverIndex:
-    """The read-only views of one cover that the oracles read, each built
-    on its first use and then shared by every later oracle call on the
-    cover.  Nothing here is edited once built.
-    """
-
-    def __init__(self, fds: tuple[FunctionalDependency, ...], universe: tuple[str, ...]) -> None:
-        self.fds, self.universe = fds, universe
-
-    @cached_property
-    def by_rhs(self) -> dict[str, tuple[int, ...]]:
-        """Right-hand attribute -> the positions of the dependencies that
-        produce it, in cover order."""
-        out: dict[str, tuple[int, ...]] = {}
-        for i, fd in enumerate(self.fds):
-            out[fd.rhs] = out.get(fd.rhs, ()) + (i,)
-        return out
-
-    @cached_property
-    def chase_rules(self) -> tuple[dict[str, int], tuple, tuple[tuple[int, ...], ...]]:
-        """The chase's view: ``(column, rules, users)``.  ``column`` numbers
-        the universe; rule i is the i-th dependency X -> A as (first column
-        of X, an ``itemgetter`` of the rest of X or None, A's column); and
-        ``users[c]`` lists the rules with column c in X."""
-        column = {name: c for c, name in enumerate(self.universe)}
-        rules = []
-        users: list[list[int]] = [[] for _ in column]
-        for i, fd in enumerate(self.fds):
-            lhs = sorted([column[name] for name in fd.lhs])
-            for c in lhs:
-                users[c].append(i)
-            rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
-        # tuples, which the collector stops tracking once they hold only ints
-        return column, tuple(rules), tuple(map(tuple, users))
-
-    @cached_property
-    def kernel(self) -> _Kernel:
-        """A closure kernel over the cover.  Only its walks run: its pairs
-        are never edited."""
-        return _Kernel(self.fds)
-
-
 def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     """Least fixpoint of ``attrs`` under ``fds``.
 
@@ -214,17 +201,18 @@ def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     left-hand side lies inside S also has its right-hand attribute in S.
     """
     start = set(attrs)
-    missing = start - set(fds.universe)
+    missing = start.difference(fds._kernel.users)
     if missing:
         raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
-    return frozenset(_Kernel(fds).close(start))
+    return frozenset(fds._kernel.close(start))
 
 
 def implies(fds: FdSet, candidate: FunctionalDependency) -> bool:
     """True iff ``candidate`` follows from ``fds``."""
-    if candidate.rhs not in set(fds.universe):
-        raise UnknownAttribute(f"attribute outside universe: {candidate.rhs!r}")
-    return candidate.rhs in closure(candidate.lhs, fds)
+    missing = (candidate.lhs | {candidate.rhs}).difference(fds._kernel.users)
+    if missing:
+        raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
+    return candidate.rhs in fds._kernel.close(candidate.lhs, candidate.rhs)
 
 
 def minimal_cover(fds: FdSet) -> FdSet:
@@ -238,6 +226,7 @@ def minimal_cover(fds: FdSet) -> FdSet:
     surviving set.  Survivors keep their input order.
     """
     position = {name: i for i, name in enumerate(fds.universe)}
+    # its own kernel, edited below; the cover's cached one stays untouched
     kernel = _Kernel(fds)
     lhs_of, rhs_of = kernel.lhs, kernel.rhs
 

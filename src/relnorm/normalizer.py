@@ -43,6 +43,15 @@ class RawAttribute:
         if (self.kind is RawKind.COMPOSITE) != bool(self.components):
             raise ValueError("components are required exactly for composite attributes")
 
+    def flat_names(self) -> tuple[str, ...]:
+        """The names 1NF flattening gives this attribute: a composite's
+        components, ``<name>_ID`` for a multivalued one, else the name."""
+        if self.kind is RawKind.COMPOSITE:
+            return self.components
+        if self.kind is RawKind.MULTIVALUED:
+            return (f"{self.name}_ID",)
+        return (self.name,)
+
 
 @dataclass(frozen=True)
 class RawSchema:
@@ -87,17 +96,11 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     replacement: dict[str, tuple[str, ...]] = {}
     flat: list[RawAttribute] = []
     for a in raw.attributes:
-        if a.kind is RawKind.COMPOSITE:
-            for comp in a.components:
-                flat.append(RawAttribute(comp, a.is_key))
-            replacement[a.name] = a.components
-        elif a.kind is RawKind.MULTIVALUED:
-            renamed = f"{a.name}_ID"
-            flat.append(RawAttribute(renamed, a.is_key))
-            replacement[a.name] = (renamed,)
-        else:
+        names = replacement[a.name] = a.flat_names()
+        if a.kind is RawKind.ATOMIC:
             flat.append(a)
-            replacement[a.name] = (a.name,)
+        else:
+            flat.extend(RawAttribute(name, a.is_key) for name in names)
     final_names = [a.name for a in flat]
     if len(final_names) != len(set(final_names)):
         dupes = sorted({n for n in final_names if final_names.count(n) > 1})

@@ -8,9 +8,12 @@ tabs separates a directive from its arguments):
     fd <a>[, <b> ...] -> <c>[, <d> ...]
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*`` and are at most
-``MAX_NAME_LEN`` (100) characters long.  Key attributes may appear
-anywhere in the file; the normalizer orders entries before building the
-node sequence.
+``MAX_NAME_LEN`` (100) characters long.  The names 1NF flattening will
+give each attribute (:meth:`~relnorm.normalizer.RawAttribute.flat_names`)
+are checked on its line too: a multivalued name becomes ``<name>_ID``, so
+it may be at most 97 characters long, and no flattened name may repeat
+one an earlier line gave.  Key attributes may appear anywhere in the
+file; the normalizer orders entries before building the node sequence.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def parse_schema_file(text: str) -> RawSchema:
     """Parse one schema document into a raw relation."""
     relation: str | None = None
     attributes: list[RawAttribute] = []
-    declared: set[str] = set()
+    declared: set[str] = set()  # attribute and component names
+    flat: set[str] = set()  # the same after 1NF flattening
     fd_entries: list[tuple[int, RawFd]] = []
     last_line = 0
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -100,10 +104,20 @@ def parse_schema_file(text: str) -> RawSchema:
             raise SchemaSyntaxError(lineno, "relation already declared")
         if head == "attr":
             attr = _parse_attr(lineno, rest)
-            if attr.name in declared:
-                raise DuplicateAttribute(f"line {lineno}: attribute {attr.name!r} declared twice")
+            for name in (attr.name, *attr.components):
+                if name in declared:
+                    raise DuplicateAttribute(f"line {lineno}: attribute {name!r} declared twice")
+                declared.add(name)
+            # built from checked identifiers, so only the length can be wrong
+            for name in attr.flat_names():
+                if len(name) > MAX_NAME_LEN:
+                    raise SchemaSyntaxError(
+                        lineno, f"flattened attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}..."
+                    )
+                if name in flat:
+                    raise DuplicateAttribute(f"line {lineno}: flattened attribute {name!r} declared twice")
+                flat.add(name)
             attributes.append(attr)
-            declared.add(attr.name)
         elif head == "fd":
             if "->" not in rest:
                 raise SchemaSyntaxError(lineno, "fd needs '<lhs> -> <rhs>'")
@@ -115,11 +129,8 @@ def parse_schema_file(text: str) -> RawSchema:
             raise SchemaSyntaxError(lineno, f"unknown directive {head!r}")
     if relation is None:
         raise SchemaSyntaxError(last_line or 1, "no relation declared")
-    known = set(declared)
-    for attr in attributes:
-        known.update(attr.components)
     for lineno, fd in fd_entries:
         for name in (*fd.lhs, *fd.rhs):
-            if name not in known:
+            if name not in declared:
                 raise UnknownAttributeInFd(f"line {lineno}: undeclared attribute {name!r}")
     return RawSchema(relation, tuple(attributes), tuple(fd for _, fd in fd_entries))

@@ -14,12 +14,13 @@ without ever computing a projection.  A dependency embedded in one table
 a closure.  Both tests are exact and polynomial; no heuristic projection
 is used, so the verdicts here are trustworthy for auditing the normalizer.
 
-Every oracle reads the cover through its index (``FdSet._index``), built
-once per cover at the first oracle call and shared by every later call,
-both normal forms and every table: the dependencies per right-hand
-attribute, the chase's rules, and one closure kernel.  Each part is built
-on first use, in time linear in the universe plus the cover.  With the
-index built, the costs are:
+Every oracle reads the cover through the views the ``FdSet`` keeps of
+itself, each built at its first use and shared by every later call, both
+normal forms and every table: the dependencies per right-hand attribute
+(``_by_rhs``), the chase's rules (``_chase_rules``) and the closure kernel
+(``_kernel``, shared with :func:`~relnorm.fd_engine.closure`).  Each is
+built in time linear in the universe plus the cover.  With the views
+built, the costs are:
 
 - ``scan_violations``: the table's width plus the dependencies whose
   right-hand side is a non-key attribute of the table, so scanning every
@@ -107,7 +108,7 @@ def is_lossless(
     # Columns are numbered by the cover's universe.  Any other name of
     # ``universe`` is a column no rule reads or writes, so a row's cell
     # there never changes and only counts towards the row's missing cells.
-    column, rules, users = fds._index.chase_rules
+    column, rules, users = fds._chase_rules
     width = len(known)
     rows = []
     classes: list[dict[int, list[int]]] = [{} for _ in column]
@@ -177,8 +178,8 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     for every table T until it stops growing or holds A; A is then implied
     by the projections iff it lies in Z (Beeri & Honeyman, SIAM J. Comput.
     1981).  A table T with Z ∩ T empty or equal to T adds nothing and is
-    skipped.  Every closure runs on the cover index's kernel, which is
-    built only when some dependency is not embedded.
+    skipped.  Every closure runs on the cover's kernel, which is built
+    only when some dependency is not embedded.
     """
     _check_within_universe(tables, fds.universe)
     parts = [frozenset(table.attributes) for table in tables]
@@ -189,7 +190,7 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     for fd in fds:
         if any(fd.lhs <= part for part in holders.get(fd.rhs, ())):
             continue
-        kernel = fds._index.kernel
+        kernel = fds._kernel
         reach, seen = set(fd.lhs), 0
         while seen < len(reach) and fd.rhs not in reach:
             seen = len(reach)
@@ -214,15 +215,15 @@ def scan_violations(
     key and touches a non-key attribute.
 
     Only the dependencies whose right-hand side is a non-key attribute of
-    the table are read, found through the cover index; violations come
-    out in cover order.
+    the table are read, found through the cover's ``_by_rhs`` view;
+    violations come out in cover order.
     """
     if mode not in ("2nf", "3nf"):
         raise ValueError(f"mode must be '2nf' or '3nf', got {mode!r}")
     pk = set(table.primary_key)
     attrs = set(table.attributes)
     transitive = mode == "3nf"
-    producers, cover = fds._index.by_rhs, fds.fds
+    producers, cover = fds._by_rhs, fds.fds
     hits = []
     for name in attrs - pk:
         for i in producers.get(name, ()):

@@ -121,8 +121,12 @@ class TestNormalize:
         [
             (f"relation R\nattr k key\nattr {'a' * 101}\n", "error: line 3: attribute name longer than 100"),
             (f"relation {'R' * 5000}\nattr k key\n", "error: line 1: relation name longer than 100"),
+            (
+                f"relation R\nattr k key\nattr {'m' * 98} multivalued\n",
+                "error: line 3: flattened attribute name longer than 100",
+            ),
         ],
-        ids=["attribute", "relation"],
+        ids=["attribute", "relation", "multivalued"],
     )
     def test_over_long_name_names_its_line(self, tmp_path, doc, expected):
         path = tmp_path / "long.schema"
@@ -131,6 +135,26 @@ class TestNormalize:
             code, out, err = invoke(*argv)
             assert (code, out) == (1, "")
             assert err.startswith(expected)
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            (
+                "relation R\nattr k key\nattr phone multivalued\nattr phone_ID\n",
+                "error: line 4: flattened attribute 'phone_ID' declared twice\n",
+            ),
+            (
+                "relation R\nattr k key\nattr name composite(first, last)\nattr last\n",
+                "error: line 4: attribute 'last' declared twice\n",
+            ),
+        ],
+        ids=["rename", "component"],
+    )
+    def test_flattened_name_clash_names_its_line(self, tmp_path, doc, expected):
+        path = tmp_path / "flat.schema"
+        path.write_text(doc, encoding="utf-8")
+        for argv in (("normalize", str(path)), ("verify", str(path))):
+            assert invoke(*argv) == (1, "", expected)
 
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]

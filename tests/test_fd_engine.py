@@ -1,9 +1,12 @@
 import pytest
 
 from oracles import brute_closure, equivalent_on_all_subsets
-from relnorm.errors import UnknownAttribute
+from relnorm import fd_engine
+from relnorm.errors import DuplicateAttribute, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd, closure, implies, minimal_cover, split_rhs
+from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency
+from relnorm.verifier import preserves_dependencies
 
 FD = FunctionalDependency.of
 
@@ -79,6 +82,11 @@ class TestImplies:
     def test_empty_fd_set(self):
         assert implies(FdSet((), ("a", "b")), FD(["a"], "b")) is False
 
+    def test_unknown_attribute(self):
+        for candidate in (FD("a", "z"), FD("az", "b")):
+            with pytest.raises(UnknownAttribute, match="'z'"):
+                implies(TRACE_FDS, candidate)
+
 
 class TestMinimalCover:
     def test_employee_drops_transitive_duplicate(self):
@@ -133,3 +141,49 @@ class TestMinimalCover:
     def test_fixpoint(self):
         cover = minimal_cover(BEER_FDS)
         assert minimal_cover(cover).fds == cover.fds
+
+
+class TestFdSet:
+    def test_duplicate_universe_name(self):
+        with pytest.raises(DuplicateAttribute):
+            FdSet((FD("a", "b"),), ("a", "b", "a"))
+
+
+class TestSharedKernel:
+    """Every closure of one cover runs on the kernel the cover keeps."""
+
+    def test_walks_leave_the_kernel_unchanged(self):
+        # c and d head no dependency, and d has no producer
+        fds = FdSet((FD("a", "b"), FD("b", "c")), tuple("abcd"))
+        kernel = fds._kernel
+        users = {name: list(pairs) for name, pairs in kernel.users.items()}
+        producers = dict(kernel.producers)
+        tables = [TableStructure("t1", ["a", "b"], ["a"]), TableStructure("t2", ["a", "c"], ["a"])]
+        assert not preserves_dependencies(fds, tables)
+        assert closure({"c"}, fds) == {"c"}
+        assert closure({"a", "d"}, fds) == {"a", "b", "c", "d"}
+        assert not implies(fds, FD("c", "a"))
+        assert not implies(fds, FD("a", "d"))
+        assert fds._kernel is kernel
+        assert kernel.users == users and kernel.producers == producers
+
+    def test_one_kernel_for_many_calls(self, monkeypatch):
+        built = []
+
+        class CountingKernel(fd_engine._Kernel):
+            def __init__(self, fds):
+                built.append(fds)
+                super().__init__(fds)
+
+        monkeypatch.setattr(fd_engine, "_Kernel", CountingKernel)
+        fds = FdSet(BEER_FDS.fds, BEER_FDS.universe)
+        shifted = BEER_UNIVERSE[1:] + BEER_UNIVERSE[:1]
+        for lhs, rhs in list(zip(BEER_UNIVERSE, shifted)) * 8:
+            closure({lhs}, fds)
+            implies(fds, FD([lhs], rhs))
+        assert len(built) == 1
+
+    def test_minimal_cover_builds_no_cached_kernel(self):
+        fds = FdSet(TRACE_FDS.fds + (FD("ab", "f"),), TRACE_UNIVERSE)
+        assert len(minimal_cover(fds)) == len(TRACE_FDS)
+        assert "_kernel" not in vars(fds)

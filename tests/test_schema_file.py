@@ -89,6 +89,40 @@ class TestParse:
             assert caught.value.line == line
             assert caught.value.message.startswith(f"{what} longer than {MAX_NAME_LEN} characters")
 
+    def test_over_long_multivalued_name_is_a_syntax_error(self):
+        longest = "m" * (MAX_NAME_LEN - len("_ID"))
+        schema = parse_schema_file(f"relation R\nattr k key\nattr {longest} multivalued\n")
+        assert schema.attributes[1].flat_names() == (f"{longest}_ID",)
+        for length in (len(longest) + 1, MAX_NAME_LEN):
+            with pytest.raises(SchemaSyntaxError) as caught:
+                parse_schema_file(f"relation R\nattr k key\nattr {'m' * length} multivalued\n")
+            assert caught.value.line == 3
+            assert caught.value.message.startswith(f"flattened attribute name longer than {MAX_NAME_LEN} characters")
+
+    @pytest.mark.parametrize(
+        "lines, line, name",
+        [
+            (["attr phone multivalued", "attr phone_ID"], 4, "phone_ID"),
+            (["attr phone_ID", "attr phone multivalued"], 4, "phone_ID"),
+            (["attr name composite(first, last)", "attr last"], 4, "last"),
+            (["attr last", "attr name composite(first, last)"], 4, "last"),
+            (["attr name composite(first, last)", "attr first multivalued"], 4, "first"),
+            (["attr name composite(first, first)"], 3, "first"),
+        ],
+        ids=[
+            "rename-then-name",
+            "name-then-rename",
+            "component-then-attr",
+            "attr-then-component",
+            "component-then-multivalued",
+            "component-twice",
+        ],
+    )
+    def test_flattened_name_clash_names_its_line(self, lines, line, name):
+        doc = "\n".join(["relation R", "attr k key", *lines, ""])
+        with pytest.raises(DuplicateAttribute, match=rf"^line {line}: .*attribute '{name}' declared twice$"):
+            parse_schema_file(doc)
+
     def test_name_of_the_maximum_length_is_accepted(self):
         name = "n" * MAX_NAME_LEN
         schema = parse_schema_file(f"relation {name}\nattr {name} key\n")

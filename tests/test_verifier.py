@@ -85,9 +85,9 @@ class TestPreservesDependencies:
     def test_kernel_is_built_only_for_a_dependency_no_table_embeds(self):
         fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
         assert preserves_dependencies(fds, [table("t1", "ab", "a"), table("t2", "bc", "b")])
-        assert "kernel" not in vars(fds._index)
+        assert "_kernel" not in vars(fds)
         assert not preserves_dependencies(fds, [table("t1", "ab", "a"), table("t2", "ac", "a")])
-        assert "kernel" in vars(fds._index)
+        assert "_kernel" in vars(fds)
 
     def test_corpus_3nf_all_preserved(self, corpus_schemas):
         for raw in corpus_schemas.values():
@@ -142,7 +142,7 @@ class TestCoverIndex:
         cover = state.cover
         twin = FdSet(cover.fds, cover.universe)
         before = (hash(cover), repr(cover))
-        # every oracle, both normal forms: builds every part of the index
+        # every oracle, both normal forms: builds every view
         for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
             tables = decompose(state.classification)
             is_lossless(cover.universe, cover, tables)
@@ -150,8 +150,9 @@ class TestCoverIndex:
             preserves_dependencies(cover, tables[:1])
             for t in tables:
                 scan_violations(t, cover, mode)
-        assert {"by_rhs", "chase_rules", "kernel"} <= set(vars(cover._index))
-        assert "_index" not in vars(twin)
+        views = {"_by_rhs", "_chase_rules", "_kernel"}
+        assert views <= set(vars(cover))
+        assert not views & set(vars(twin))
         assert cover == twin and hash(cover) == hash(twin)
         assert (hash(cover), repr(cover)) == before == (hash(twin), repr(twin))
-        assert "_index" not in {f.name for f in fields(FdSet)}
+        assert not views & {f.name for f in fields(FdSet)}
