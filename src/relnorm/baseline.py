@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EmptyCorpus, LhsTooLarge, UnknownAttribute
+from .errors import LhsTooLarge, UnknownAttribute
 from .normalizer import (
     Classification,
     PipelineState,
@@ -206,22 +206,22 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _median_us(pass_fn: Callable[[], object], repetitions: int, inner: int) -> float:
-    samples = []
-    for _ in range(repetitions):
+def _median_us(pass_fn: Callable[[], object], repetitions: int) -> float:
+    """Median microseconds per call over batches sized to take about 2 ms."""
+
+    def batch_ns(inner: int) -> int:
         start = time.perf_counter_ns()
         for _ in range(inner):
             pass_fn()
-        elapsed = time.perf_counter_ns() - start
-        samples.append(elapsed / inner / 1000.0)
-    return statistics.median(samples)
+        return time.perf_counter_ns() - start
+
+    inner = 1
+    while batch_ns(inner) < 2_000_000:
+        inner *= 2
+    return statistics.median([batch_ns(inner) / inner / 1000.0 for _ in range(repetitions)])
 
 
-def bench(
-    corpus: Sequence[RawSchema],
-    repetitions: int = 5,
-    inner: int = 25,
-) -> BenchReport:
+def bench(corpus: Sequence[RawSchema], repetitions: int = 5) -> BenchReport:
     """Compare both representations over a corpus of relations.
 
     For every relation: memory bytes under the cell model for both
@@ -230,7 +230,7 @@ def bench(
     pass of each layout at both normal forms.
     """
     if not corpus:
-        raise EmptyCorpus("benchmark requires at least one relation")
+        raise ValueError("benchmark requires at least one relation")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     rows: list[BenchRow] = []
@@ -242,10 +242,10 @@ def bench(
         double_bytes = memory_cells_double(entered)
         schema_list = state.schema_list
 
-        t2nf_single = _median_us(lambda: decompose_2nf(classify(schema_list)), repetitions, inner)
-        t2nf_double = _median_us(lambda: decompose_2nf(classify_two_list(covered)), repetitions, inner)
-        t3nf_single = _median_us(lambda: decompose_3nf(classify(schema_list)), repetitions, inner)
-        t3nf_double = _median_us(lambda: decompose_3nf(classify_two_list(covered)), repetitions, inner)
+        t2nf_single = _median_us(lambda: decompose_2nf(classify(schema_list)), repetitions)
+        t2nf_double = _median_us(lambda: decompose_2nf(classify_two_list(covered)), repetitions)
+        t3nf_single = _median_us(lambda: decompose_3nf(classify(schema_list)), repetitions)
+        t3nf_double = _median_us(lambda: decompose_3nf(classify_two_list(covered)), repetitions)
 
         rows.append(
             BenchRow(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn, Sequence, TextIO
@@ -201,10 +202,21 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIO | None = None, stde
     }
     try:
         return handlers[args.command](args, out, err)
+    except BrokenPipeError:
+        # the reader of our output went away; that is no input error to report
+        return 1
     except (NormalizationError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        sys.exit(run())
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # point stdout at the null device, so the flush at exit is quiet too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)

@@ -24,11 +24,9 @@ _FILES: dict[str, tuple[str, bool]] = {
     "Employee": ("employee.schema", True),
 }
 
-CORPUS_NAMES: tuple[str, ...] = tuple(name for name, (_, extra) in _FILES.items() if not extra)
-
 
 def corpus_names() -> tuple[str, ...]:
-    return CORPUS_NAMES
+    return tuple(name for name, (_, extra) in _FILES.items() if not extra)
 
 
 def corpus_text(name: str) -> str:
@@ -44,4 +42,4 @@ def load(name: str) -> RawSchema:
 
 
 def load_all() -> list[RawSchema]:
-    return [load(name) for name in CORPUS_NAMES]
+    return [load(name) for name in corpus_names()]

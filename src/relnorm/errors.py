@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""One :class:`NormalizationError` subclass per kind of fault in a relation,
+its dependencies or a decomposition, whichever layer finds it.  A bad
+argument to a library function raises :class:`ValueError` instead."""
 
 
 class NormalizationError(Exception):
@@ -10,7 +12,7 @@ class InvalidName(NormalizationError):
 
 
 class DuplicateAttribute(NormalizationError):
-    """An attribute name was declared twice within one relation."""
+    """A name is declared twice: as an attribute, component or flattened name."""
 
 
 class EntryOrderViolation(NormalizationError):
@@ -41,28 +43,12 @@ class NoKeyDeclared(NormalizationError):
     """The relation declares no primary-key attribute."""
 
 
-class ComponentCollision(NormalizationError):
-    """First-normal-form rewriting would produce a duplicate attribute name."""
-
-
-class AttributeOutsideUniverse(NormalizationError):
-    """A table mentions an attribute outside the declared universe."""
-
-
 class DanglingForeignKey(NormalizationError):
     """A foreign key references a table that is not part of the script."""
 
 
 class CyclicReference(NormalizationError):
     """Foreign keys among the given tables form a cycle."""
-
-
-class EmptyCorpus(NormalizationError):
-    """The benchmark was invoked with no relations."""
-
-
-class UnknownAttributeInFd(NormalizationError):
-    """A schema file dependency mentions an undeclared attribute."""
 
 
 class SchemaSyntaxError(NormalizationError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .errors import ComponentCollision, DuplicateAttribute, NoKeyDeclared, UnknownAttributeInFd
+from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from .fd_engine import FdSet, RawFd, minimal_cover, split_rhs
 from .schema_model import SchemaList, _entry_rank
 
@@ -62,21 +62,18 @@ class RawSchema:
     declared_fds: tuple[RawFd, ...] = ()
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.attributes]
-        if len(names) != len(set(names)):
-            raise DuplicateAttribute(f"duplicate attribute names in {self.relation_name!r}")
+        # attribute and component names, taken together, hold no repeat
+        declared = [name for a in self.attributes for name in (a.name, *a.components)]
+        known = set(declared)
+        if len(known) != len(declared):
+            dupes = sorted({name for name in declared if declared.count(name) > 1})
+            raise DuplicateAttribute(f"duplicate attribute names in {self.relation_name!r}: {dupes}")
         if not any(a.is_key for a in self.attributes):
             raise NoKeyDeclared(f"relation {self.relation_name!r} declares no key attribute")
-        components: list[str] = []
-        for a in self.attributes:
-            components.extend(a.components)
-        if len(components) != len(set(components)) or set(components) & set(names):
-            raise ComponentCollision("component names must be unique and distinct from attributes")
-        known = set(names) | set(components)
         for fd in self.declared_fds:
             for name in (*fd.lhs, *fd.rhs):
                 if name not in known:
-                    raise UnknownAttributeInFd(f"dependency mentions undeclared attribute {name!r}")
+                    raise UnknownAttribute(f"dependency mentions undeclared attribute {name!r}")
 
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
@@ -91,7 +88,8 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     Composite attributes are replaced in place by their components, which
     inherit the key flag.  Multivalued attributes become ``<name>_ID`` and
     atomic.  Dependencies follow the rewriting: a composite mentioned in a
-    dependency is replaced by all of its components on either side.
+    dependency is replaced by all of its components on either side.  The
+    flat :class:`RawSchema` returned rejects a repeated flattened name.
     """
     replacement: dict[str, tuple[str, ...]] = {}
     flat: list[RawAttribute] = []
@@ -101,10 +99,6 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
             flat.append(a)
         else:
             flat.extend(RawAttribute(name, a.is_key) for name in names)
-    final_names = [a.name for a in flat]
-    if len(final_names) != len(set(final_names)):
-        dupes = sorted({n for n in final_names if final_names.count(n) > 1})
-        raise ComponentCollision(f"flattening produced duplicate attribute names: {dupes}")
 
     def expand(names: tuple[str, ...]) -> tuple[str, ...]:
         out: list[str] = []

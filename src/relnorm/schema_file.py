@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttributeInFd
+from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttribute
 from .fd_engine import RawFd
 from .normalizer import RawAttribute, RawKind, RawSchema
 from .schema_model import _IDENTIFIER, MAX_NAME_LEN
@@ -132,5 +132,5 @@ def parse_schema_file(text: str) -> RawSchema:
     for lineno, fd in fd_entries:
         for name in (*fd.lhs, *fd.rhs):
             if name not in declared:
-                raise UnknownAttributeInFd(f"line {lineno}: undeclared attribute {name!r}")
+                raise UnknownAttribute(f"line {lineno}: undeclared attribute {name!r}")
     return RawSchema(relation, tuple(attributes), tuple(fd for _, fd in fd_entries))

@@ -41,7 +41,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import AttributeOutsideUniverse
+from .errors import UnknownAttribute
 from .fd_engine import FdSet
 from .normalizer import TableStructure
 
@@ -65,7 +65,7 @@ def _check_within_universe(tables: Sequence[TableStructure], universe: Sequence[
     for table in tables:
         outside = set(table.attributes) - known
         if outside:
-            raise AttributeOutsideUniverse(
+            raise UnknownAttribute(
                 f"table {table.name!r} mentions attributes outside the universe: {sorted(outside)}"
             )
     return known
@@ -97,12 +97,12 @@ def is_lossless(
     runs dry first.
 
     Every table and every attribute of the cover's universe must lie in
-    ``universe``; otherwise :class:`AttributeOutsideUniverse` is raised.
+    ``universe``; otherwise :class:`~relnorm.errors.UnknownAttribute` is raised.
     """
     known = _check_within_universe(tables, universe)
     outside = set(fds.universe) - known
     if outside:
-        raise AttributeOutsideUniverse(
+        raise UnknownAttribute(
             f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
         )
     # Columns are numbered by the cover's universe.  Any other name of

@@ -251,7 +251,7 @@ def test_criterion_4_oracle_cross_checks():
 
 def test_criterion_5_memory_direction():
     with criterion(5, "memory model direction", 1.0):
-        report = bench(corpus.load_all(), repetitions=1, inner=1)
+        report = bench(corpus.load_all(), repetitions=1)
         for row in report.rows:
             assert row.single_bytes < row.double_bytes, row.relation
         # independent arithmetic over the fixture counts: per-node cost 125
@@ -278,7 +278,7 @@ def test_criterion_5_memory_direction():
 
 def test_criterion_6_timing_direction():
     with criterion(6, "classification-pass timing", 60.0):
-        report = bench(corpus.load_all(), repetitions=5, inner=40)
+        report = bench(corpus.load_all(), repetitions=5)
         for row in report.rows:
             assert row.t2nf_single_us <= 2.0 * row.t2nf_double_us, (
                 row.relation, row.t2nf_single_us, row.t2nf_double_us)

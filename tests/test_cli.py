@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relnorm
 from relnorm import corpus
 from relnorm.cli import run
 
@@ -241,6 +246,40 @@ class TestCorpusCommand:
         code, out, _ = invoke("corpus", "list")
         assert code == 0
         assert out.splitlines() == list(corpus.corpus_names())
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    # a closed stdout is no input error: exit 1, but nothing on stderr
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("verify", []), ("normalize", ["--nf", "3", "--ddl"]), ("normalize", ["--nf", "2", "--json", "--verify"])],
+    )
+    def test_run_exits_1_quietly(self, command, flags, beer_path):
+        err = io.StringIO()
+        assert run([command, beer_path, *flags], stdout=_ClosedPipe(), stderr=err) == 1
+        assert err.getvalue() == ""
+
+    # buffered, the write fails only at the final flush; unbuffered, in run
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_process_exits_1_quietly(self, unbuffered, beer_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(relnorm.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "relnorm", "verify", beer_path],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestUsageErrors:

@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from relnorm.errors import ComponentCollision, NoKeyDeclared
+from relnorm.errors import DuplicateAttribute, NoKeyDeclared
 from relnorm.fd_engine import FdSet, RawFd
 from relnorm.normalizer import (
     Classification,
@@ -69,7 +69,7 @@ class TestFirstNormalForm:
         assert flat.declared_fds == (RawFd(("first", "last"), ("x",)),)
 
     def test_component_collision(self):
-        with pytest.raises(ComponentCollision):
+        with pytest.raises(DuplicateAttribute):
             RawSchema(
                 "R",
                 (
@@ -87,7 +87,7 @@ class TestFirstNormalForm:
                 RawAttribute("phone_ID"),
             ),
         )
-        with pytest.raises(ComponentCollision):
+        with pytest.raises(DuplicateAttribute):
             to_first_normal_form(raw)
 
 

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import event, given, settings
 
 from relnorm import corpus
 from relnorm.errors import (
     DuplicateAttribute,
     NoKeyDeclared,
     SchemaSyntaxError,
-    UnknownAttributeInFd,
+    UnknownAttribute,
 )
 from relnorm.fd_engine import RawFd
-from relnorm.normalizer import RawKind
+from relnorm.normalizer import RawAttribute, RawKind, RawSchema, to_first_normal_form
 from relnorm.schema_file import parse_schema_file
 from relnorm.schema_model import MAX_NAME_LEN
 
@@ -39,7 +43,7 @@ class TestParse:
 
     def test_undeclared_fd_attribute(self):
         doc = "relation R\nattr y key\nfd x -> y\n"
-        with pytest.raises(UnknownAttributeInFd):
+        with pytest.raises(UnknownAttribute):
             parse_schema_file(doc)
 
     def test_duplicate_attribute(self):
@@ -152,6 +156,63 @@ class TestParse:
         tabbed = tabbed.replace("attr ", "attr\t \t")
         assert "relation\tEmployee" in tabbed and "fd\te_id" in tabbed and "attr\t \te_id" in tabbed
         assert parse_schema_file(tabbed) == parse_schema_file(EMPLOYEE_DOC)
+
+
+# a small pool, so that names, components and ``<name>_ID`` renames collide
+NAME_POOL = ("a", "b", "c", "a_ID", "b_ID", "c_ID")
+
+
+@st.composite
+def declarations(draw):
+    attributes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        name = draw(st.sampled_from(NAME_POOL))
+        kind = draw(st.sampled_from(RawKind))
+        components = ()
+        if kind is RawKind.COMPOSITE:
+            components = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=3)))
+        attributes.append(RawAttribute(name, draw(st.booleans()), kind, components))
+    if not any(a.is_key for a in attributes):
+        attributes[0] = replace(attributes[0], is_key=True)
+    declared = sorted({n for a in attributes for n in (a.name, *a.components)})
+    names = st.lists(st.sampled_from(declared), min_size=1, max_size=2, unique=True)
+    fds = [RawFd(tuple(draw(names)), tuple(draw(names))) for _ in range(draw(st.integers(0, 2)))]
+    return attributes, fds
+
+
+def render(attributes, fds):
+    lines = ["relation R"]
+    for a in attributes:
+        flags = [a.name]
+        if a.is_key:
+            flags.append("key")
+        if a.kind is RawKind.MULTIVALUED:
+            flags.append("multivalued")
+        elif a.kind is RawKind.COMPOSITE:
+            flags.append(f"composite({', '.join(a.components)})")
+        lines.append("attr " + " ".join(flags))
+    lines.extend(f"fd {', '.join(fd.lhs)} -> {', '.join(fd.rhs)}" for fd in fds)
+    return "\n".join(lines) + "\n"
+
+
+def or_duplicate(build):
+    try:
+        return build()
+    except DuplicateAttribute:
+        return DuplicateAttribute
+
+
+class TestSameRuleBothLayers:
+    @settings(max_examples=300, deadline=None)
+    @given(declarations())
+    def test_parser_and_raw_schema_reject_the_same_repeats(self, declaration):
+        attributes, fds = declaration
+        parsed = or_duplicate(lambda: parse_schema_file(render(attributes, fds)))
+        flat = or_duplicate(lambda: to_first_normal_form(RawSchema("R", tuple(attributes), tuple(fds))))
+        event("rejected" if flat is DuplicateAttribute else "accepted")
+        assert (parsed is DuplicateAttribute) == (flat is DuplicateAttribute)
+        if flat is not DuplicateAttribute:
+            assert to_first_normal_form(parsed) == flat
 
 
 class TestCorpusFixtures:
