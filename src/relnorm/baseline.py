@@ -62,7 +62,10 @@ class TwoListSchema:
         known = {a.name for a in self.attribute_list}
         for fd in self.fd_list:
             if len(fd.lhs) > MAX_LHS:
-                raise LhsTooLarge(f"left-hand side of size {len(fd.lhs)} exceeds limit")
+                raise LhsTooLarge(
+                    f"relation {self.relation_name!r}: dependency {', '.join(fd.lhs)} -> {fd.rhs}: "
+                    f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
+                )
             missing = (set(fd.lhs) | {fd.rhs}) - known
             if missing:
                 raise UnknownAttribute(f"dependency mentions unknown attributes: {sorted(missing)}")

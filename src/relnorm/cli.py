@@ -29,6 +29,10 @@ from .schema_file import parse_schema_file
 from .verifier import is_lossless, preserves_dependencies, scan_violations
 
 
+# normal form -> its synthesis; the scan mode is f"{nf}nf"
+_DECOMPOSE = {2: decompose_2nf, 3: decompose_3nf}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, an input error, rather
     than argparse's 2, which here means a failed verification."""
@@ -49,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("normalize", help="decompose one schema file")
     p_norm.add_argument("file", help="schema file to normalize")
-    p_norm.add_argument("--nf", type=int, choices=(2, 3), default=3, help="target normal form")
+    p_norm.add_argument("--nf", type=int, choices=tuple(_DECOMPOSE), default=3, help="target normal form")
     output = p_norm.add_mutually_exclusive_group()
     output.add_argument("--ddl", action="store_true", help="also print CREATE TABLE statements")
     output.add_argument("--json", action="store_true", help="emit the tables as JSON")
@@ -78,12 +82,6 @@ def _load(path: str) -> PipelineState:
             f"{path}: not valid UTF-8 (byte {data[offset]:#04x} at offset {offset})"
         ) from None
     return prepare(parse_schema_file(text))
-
-
-def _tables_for(state: PipelineState, nf: int) -> list[TableStructure]:
-    if nf == 3:
-        return decompose_3nf(state.classification)
-    return decompose_2nf(state.classification)
 
 
 def _payload(state: PipelineState, nf: int, tables: list[TableStructure]) -> dict:
@@ -122,8 +120,7 @@ def _run_checks(state: PipelineState, nf: int, tables: list[TableStructure]) -> 
     universe = state.flat.attribute_names()
     lossless = is_lossless(universe, state.cover, tables)
     preserved = preserves_dependencies(state.cover, tables)
-    mode = "3nf" if nf == 3 else "2nf"
-    violations = sum(len(scan_violations(t, state.cover, mode)) for t in tables)
+    violations = sum(len(scan_violations(t, state.cover, f"{nf}nf")) for t in tables)
     return lossless, preserved, violations
 
 
@@ -133,7 +130,7 @@ def _bool(value: bool) -> str:
 
 def _cmd_normalize(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     state = _load(args.file)
-    tables = _tables_for(state, args.nf)
+    tables = _DECOMPOSE[args.nf](state.classification)
     if args.json:
         print(json.dumps(_payload(state, args.nf, tables), indent=2), file=out)
     else:
@@ -158,8 +155,8 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     state = _load(args.file)
     print(f"relation: {state.flat.relation_name}", file=out)
     failed = False
-    for nf in (2, 3):
-        tables = _tables_for(state, nf)
+    for nf, decompose in _DECOMPOSE.items():
+        tables = decompose(state.classification)
         lossless, preserved, violations = _run_checks(state, nf, tables)
         print(
             f"{nf}NF: lossless: {_bool(lossless)}, dependencies preserved: "

@@ -224,24 +224,14 @@ def classify(schema_list: SchemaList) -> Classification:
     )
 
 
-def _extend_unique(target: list[str], present: set[str], names) -> None:
-    """Append each of ``names`` not yet in ``target``; ``present`` holds
-    ``target``'s names and is kept up to date."""
-    for name in names:
-        if name not in present:
-            present.add(name)
-            target.append(name)
-
-
 def _group_table(group: DependencyGroup) -> TableStructure:
     """A table keyed by the group's determiner: the determiner, then each
     dependent not yet in it."""
-    attributes = list(group.determiner)
-    _extend_unique(attributes, set(attributes), group.dependents)
+    attributes = list(dict.fromkeys((*group.determiner, *group.dependents)))
     return TableStructure("_".join(group.determiner), attributes, list(group.determiner))
 
 
-def _unique_names(tables: list[TableStructure]) -> None:
+def _unique_names(tables: list[TableStructure]) -> list[TableStructure]:
     seen: set[str] = set()
     for table in tables:
         name = table.name
@@ -251,11 +241,11 @@ def _unique_names(tables: list[TableStructure]) -> None:
             suffix += 1
         table.name = name
         seen.add(name)
+    return tables
 
 
 def _base_tables(c: Classification) -> list[TableStructure]:
-    main = TableStructure(f"{c.relation_name}_main", [], list(c.prime_attributes))
-    _extend_unique(main.attributes, set(), c.a1)
+    main = TableStructure(f"{c.relation_name}_main", list(dict.fromkeys(c.a1)), list(c.prime_attributes))
     return [main] + [_group_table(group) for group in c.a2]
 
 
@@ -269,24 +259,31 @@ def decompose_2nf(c: Classification) -> list[TableStructure]:
     main table together with their determiner attributes.
     """
     tables = _base_tables(c)
-    pending = list(c.a3)
-    present = [set(t.attributes) for t in tables] if pending else []
+    if not c.a3:
+        return _unique_names(tables)
+    # each table's columns as one ordered dict; setdefault appends a name
+    # the table lacks and leaves one it holds where it is
+    columns = [dict.fromkeys(t.attributes) for t in tables]
+    pending = [(frozenset(g.determiner), g) for g in c.a3]
     while pending:
         waiting = []
-        for group in pending:
-            for host, names in enumerate(present):
-                if names.issuperset(group.determiner):
-                    _extend_unique(tables[host].attributes, names, group.dependents)
+        for det, group in pending:
+            for cols in columns:
+                if cols.keys() >= det:
+                    for name in group.dependents:
+                        cols.setdefault(name)
                     break
             else:
-                waiting.append(group)
+                waiting.append((det, group))
         if len(waiting) == len(pending):
             break
         pending = waiting
-    for group in pending:
-        _extend_unique(tables[0].attributes, present[0], (*group.determiner, *group.dependents))
-    _unique_names(tables)
-    return tables
+    for _, group in pending:
+        for name in (*group.determiner, *group.dependents):
+            columns[0].setdefault(name)
+    for table, cols in zip(tables, columns):
+        table.attributes = list(cols)
+    return _unique_names(tables)
 
 
 def decompose_3nf(c: Classification) -> list[TableStructure]:
@@ -305,27 +302,21 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
     _unique_names(tables)
     if first == len(tables):
         return tables
-    # determiner attribute -> positions of the tables holding it, ascending
-    holders: dict[str, list[int]] = {name: [] for t in tables[first:] for name in t.primary_key}
+    # determiner attribute -> positions of the tables holding it
+    holders: dict[str, set[int]] = {name: set() for t in tables[first:] for name in t.primary_key}
     for pos, t in enumerate(tables):
         for name in t.attributes:
             if name in holders:
-                holders[name].append(pos)
-    main = tables[0]
+                holders[name].add(pos)
     for pos in range(first, len(tables)):
         table = tables[pos]
         det = table.primary_key
-        lists = sorted((holders[name] for name in det), key=len)
-        hosts = set(lists[0]).intersection(*lists[1:])
-        hosts.discard(pos)
-        if hosts:
-            host = min(hosts)
-        else:
-            host = 0
-            for name in det:  # the main table is table 0
-                if holders[name][0] != 0:
-                    holders[name].insert(0, 0)
-                    main.attributes.append(name)
+        host = min(set.intersection(*(holders[name] for name in det)) - {pos}, default=0)
+        if host == 0:  # the main table, which takes the names it lacks
+            for name in det:
+                if 0 not in holders[name]:
+                    holders[name].add(0)
+                    tables[0].attributes.append(name)
         tables[host].foreign_keys.append(ForeignKey(tuple(det), table.name))
     return tables
 

@@ -15,7 +15,8 @@ from relnorm.baseline import (
 )
 from relnorm.errors import LhsTooLarge, UnknownAttribute
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
-from relnorm.schema_model import SchemaList
+from relnorm.schema_file import parse_schema_file
+from relnorm.schema_model import FunctionalDependency, SchemaList
 
 
 def single_list_with(n_attrs):
@@ -108,6 +109,23 @@ class TestBench:
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             bench([])
+
+    def test_no_repetitions(self):
+        with pytest.raises(ValueError, match="repetitions must be at least 1"):
+            bench([corpus.load("Beer_Relation")], repetitions=0)
+
+    def test_entered_lhs_over_the_cap_names_relation_and_dependency(self):
+        # the cover reduces a,b,c,d,e -> f to a,b,c,d -> f, so the relation
+        # normalizes; the two-list layout holds the dependency as entered
+        doc = (
+            "relation W\nattr k key\nattr a\nattr b\nattr c\nattr d\nattr e\nattr f\n"
+            "fd k -> a, b, c, d, e\nfd a -> e\nfd a, b, c, d, e -> f\n"
+        )
+        raw = parse_schema_file(doc)
+        assert FunctionalDependency(frozenset("abcd"), "f") in prepare(raw).cover.fds
+        message = "relation 'W': dependency a, b, c, d, e -> f: left-hand side of size 5 exceeds MAX_LHS = 4"
+        with pytest.raises(LhsTooLarge, match=f"^{re.escape(message)}$"):
+            bench([raw], repetitions=1)
 
     def test_memory_direction_over_corpus(self):
         report = bench(corpus.load_all(), repetitions=1)

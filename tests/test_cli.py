@@ -225,6 +225,24 @@ class TestLimitDiagnostics:
         assert code == 1
         assert "exceeds" in err
 
+    def test_lhs_cap_applies_to_the_cover(self, tmp_path):
+        # a -> e makes e extraneous, so the cover holds a, b, c, d -> f
+        doc = (
+            "relation W\n"
+            "attr k key\n"
+            "attr a\nattr b\nattr c\nattr d\nattr e\nattr f\n"
+            "fd k -> a, b, c, d, e\n"
+            "fd a -> e\n"
+            "fd a, b, c, d, e -> f\n"
+        )
+        path = tmp_path / "reducible.schema"
+        path.write_text(doc, encoding="utf-8")
+        for nf in ("2", "3"):
+            code, out, err = invoke("normalize", str(path), "--nf", nf, "--ddl", "--verify")
+            assert (code, err) == (0, "")
+            assert "lossless: true, dependencies preserved: true\nviolations: 0\n" in out
+        assert "primary key: a, b, c, d\n" in out
+
 
 class TestBenchCommand:
     def test_runs_and_writes_csv(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oracles import brute_closure, equivalent_on_all_subsets
@@ -46,6 +48,10 @@ class TestSplitRhs:
     def test_singleton_passthrough(self):
         out = split_rhs([RawFd(("a",), ("b",))], ("a", "b"))
         assert len(out) == 1
+
+    def test_rhs_attribute_on_the_left_is_dropped(self):
+        out = split_rhs([RawFd(("a", "b"), ("b", "c"))], ("a", "b", "c"))
+        assert [repr(fd) for fd in out] == ["{a, b} -> c"]
 
     def test_count_preserved(self):
         out = split_rhs([RawFd(("G",), ("A", "E", "J", "K"))], tuple("AEGJK"))
@@ -147,6 +153,11 @@ class TestFdSet:
     def test_duplicate_universe_name(self):
         with pytest.raises(DuplicateAttribute):
             FdSet((FD("a", "b"),), ("a", "b", "a"))
+
+    @pytest.mark.parametrize("fd", [FD("a", "z"), FD("az", "b")], ids=["rhs", "lhs"])
+    def test_attribute_outside_universe(self, fd):
+        with pytest.raises(UnknownAttribute, match=re.escape("attributes outside universe: ['z']")):
+            FdSet((fd,), ("a", "b"))
 
 
 class TestSharedKernel:

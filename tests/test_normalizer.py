@@ -2,10 +2,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from relnorm.errors import DuplicateAttribute, NoKeyDeclared
+from relnorm.ddl import emit_ddl
+from relnorm.errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd
 from relnorm.normalizer import (
     Classification,
+    DependencyGroup,
     RawAttribute,
     RawKind,
     RawSchema,
@@ -25,6 +27,33 @@ def table_sets(tables):
 
 def groups(classification_groups):
     return {(frozenset(g.determiner), frozenset(g.dependents)) for g in classification_groups}
+
+
+def layout(tables):
+    """Every table as ``(name, columns, primary key, foreign keys)``, in order."""
+    return [
+        (t.name, t.attributes, t.primary_key, [(list(fk.columns), fk.references) for fk in t.foreign_keys])
+        for t in tables
+    ]
+
+
+def by_hand(a1, a2, a3, primes=("k1", "k2")):
+    """A classification of relation R; groups are ``(determiner, dependents)`` strings."""
+
+    def group_of(det, deps):
+        return DependencyGroup(tuple(det.split()), tuple(deps.split()))
+
+    a2 = tuple(group_of(*g) for g in a2)
+    a3 = tuple(group_of(*g) for g in a3)
+    return Classification("R", tuple(a1.split()), a2, a3, primes)
+
+
+# a transitive chain x -> y -> z -> w listed backwards, so each round of the
+# 2NF fixpoint attaches one more link, plus p -> q onto the partial group k1 -> p
+THREE_ROUNDS = by_hand("k1 k2 x", [("k1", "p")], [("z", "w"), ("y", "z"), ("x", "y"), ("p", "q")])
+# at the turn of y -> z, y is held only by k1, where p -> y just put it;
+# x -> y puts it in R_main later in the same round, so z goes to k1
+EARLIEST_AT_TURN = by_hand("k1 k2 x", [("k1", "p")], [("p", "y"), ("y", "z"), ("x", "y")])
 
 
 def classified(c):
@@ -89,6 +118,19 @@ class TestFirstNormalForm:
         )
         with pytest.raises(DuplicateAttribute):
             to_first_normal_form(raw)
+
+    def test_undeclared_fd_attribute(self):
+        with pytest.raises(UnknownAttribute, match="undeclared attribute 'z'"):
+            RawSchema("R", (RawAttribute("k", is_key=True), RawAttribute("x")), (RawFd(("k",), ("z",)),))
+
+    @pytest.mark.parametrize(
+        "kind, components",
+        [(RawKind.ATOMIC, ("a",)), (RawKind.MULTIVALUED, ("a",)), (RawKind.COMPOSITE, ())],
+        ids=["atomic-with-components", "multivalued-with-components", "composite-without"],
+    )
+    def test_components_exactly_for_composites(self, kind, components):
+        with pytest.raises(ValueError, match="components are required exactly for composite"):
+            RawAttribute("n", kind=kind, components=components)
 
 
 class TestAttributeInfo:
@@ -206,6 +248,22 @@ class TestDecompose2nf:
         tables = decompose_2nf(c)
         assert table_sets(tables) == {(frozenset({"k", "x", "z", "y"}), frozenset({"k"}))}
 
+    def test_one_link_attaches_per_round(self):
+        assert layout(decompose_2nf(THREE_ROUNDS)) == [
+            ("R_main", ["k1", "k2", "x", "y", "z", "w"], ["k1", "k2"], []),
+            ("k1", ["k1", "p", "q"], ["k1"], []),
+        ]
+
+    def test_group_joins_the_earliest_holder_at_its_turn(self):
+        assert layout(decompose_2nf(EARLIEST_AT_TURN)) == [
+            ("R_main", ["k1", "k2", "x", "y"], ["k1", "k2"], []),
+            ("k1", ["k1", "p", "y", "z"], ["k1"], []),
+        ]
+
+    def test_unplaced_groups_fall_back_in_turn_order(self):
+        c = by_hand("k", [], [("x", "y"), ("k x", "z"), ("y", "w")], primes=("k",))
+        assert layout(decompose_2nf(c)) == [("R_main", ["k", "x", "y", "z", "w"], ["k"], [])]
+
 
 class TestDecompose3nf:
     def test_trace(self, trace_schema):
@@ -259,6 +317,34 @@ class TestDecompose3nf:
         assert set(main.attributes) == {"k", "x"}
         assert main.foreign_keys[0].columns == ("x",)
 
+    def test_each_determiner_linked_from_its_earliest_holder(self):
+        assert layout(decompose_3nf(THREE_ROUNDS)) == [
+            ("R_main", ["k1", "k2", "x"], ["k1", "k2"], [(["x"], "x")]),
+            ("k1", ["k1", "p"], ["k1"], [(["p"], "p")]),
+            ("z", ["z", "w"], ["z"], []),
+            ("y", ["y", "z"], ["y"], [(["z"], "z")]),
+            ("x", ["x", "y"], ["x"], [(["y"], "y")]),
+            ("p", ["p", "q"], ["p"], []),
+        ]
+        assert layout(decompose_3nf(EARLIEST_AT_TURN)) == [
+            ("R_main", ["k1", "k2", "x"], ["k1", "k2"], [(["x"], "x")]),
+            ("k1", ["k1", "p"], ["k1"], [(["p"], "p")]),
+            ("p", ["p", "y"], ["p"], [(["y"], "y")]),
+            ("y", ["y", "z"], ["y"], []),
+            ("x", ["x", "y"], ["x"], []),
+        ]
+
+    def test_host_may_come_after_the_table_and_main_gains_a_determiner(self):
+        # x is first held by the later table k_x; k_x's determiner is held
+        # whole by no other table, so x joins the main table, which links it
+        c = by_hand("k", [], [("x", "y"), ("k x", "z"), ("y", "w")], primes=("k",))
+        assert layout(decompose_3nf(c)) == [
+            ("R_main", ["k", "x"], ["k"], [(["k", "x"], "k_x")]),
+            ("x", ["x", "y"], ["x"], [(["y"], "y")]),
+            ("k_x", ["k", "x", "z"], ["k", "x"], [(["x"], "x")]),
+            ("y", ["y", "w"], ["y"], []),
+        ]
+
 
 class TestNormalize:
     def test_trace_flag_off_gives_two_tables(self, trace_schema):
@@ -271,6 +357,27 @@ class TestNormalize:
         c = prepare(RawSchema("R", (RawAttribute("k", is_key=True),))).classification
         for decompose in (decompose_2nf, decompose_3nf):
             assert table_sets(decompose(c)) == {(frozenset({"k"}), frozenset({"k"}))}
+
+    def test_attribute_no_dependency_mentions_lands_in_main(self):
+        attributes = (RawAttribute("k", is_key=True), RawAttribute("a"), RawAttribute("u"))
+        raw = RawSchema("R", attributes, (RawFd(("k",), ("a",)),))
+        c = prepare(raw).classification
+        assert c.a1 == ("k", "a", "u")
+        for decompose in (decompose_2nf, decompose_3nf):
+            assert layout(decompose(c)) == [("R_main", ["k", "a", "u"], ["k"], [])]
+
+    def test_colliding_table_names_get_a_suffix(self):
+        # the tables of determiners {a, b} and {a_b} are both named a_b at first
+        names = ("k", "a", "b", "a_b", "c", "d")
+        fds = (RawFd(("k",), ("a", "b", "a_b")), RawFd(("a", "b"), ("c",)), RawFd(("a_b",), ("d",)))
+        raw = RawSchema("R", tuple(RawAttribute(n, n == "k") for n in names), fds)
+        tables = decompose_3nf(prepare(raw).classification)
+        assert layout(tables) == [
+            ("R_main", ["k", "a", "b", "a_b"], ["k"], [(["a", "b"], "a_b"), (["a_b"], "a_b_2")]),
+            ("a_b", ["a", "b", "c"], ["a", "b"], []),
+            ("a_b_2", ["a_b", "d"], ["a_b"], []),
+        ]
+        assert "FOREIGN KEY (a_b) REFERENCES a_b_2 (a_b)" in emit_ddl(tables).text
 
 
 class TestCorpusInvariants:

@@ -67,6 +67,25 @@ class TestParse:
         with pytest.raises(SchemaSyntaxError):
             parse_schema_file("relation R\nattr 1bad key\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("attr n composite( , )", "composite(...) needs at least one component"),
+            ("attr", "attr needs a name"),
+            ("attr composite(a, b)", "attr needs a name"),
+            ("attr a unique", "unknown attribute flag 'unique'"),
+            ("attr n multivalued composite(a, b)", "an attribute cannot be both multivalued and composite"),
+            ("fd k => a", "fd needs '<lhs> -> <rhs>'"),
+        ],
+        ids=["empty-composite", "attr-without-name", "composite-without-name", "unknown-flag",
+             "multivalued-composite", "fd-without-arrow"],
+    )
+    def test_malformed_line_names_the_fault(self, line, message):
+        with pytest.raises(SchemaSyntaxError) as caught:
+            parse_schema_file(f"relation R\nattr k key\nattr a\n{line}\n")
+        assert caught.value.line == 4
+        assert caught.value.message == message
+
     def test_error_carries_line_number(self):
         try:
             parse_schema_file("relation R\nattr a key\nfd a ->\n")
