@@ -163,16 +163,26 @@ class _Kernel:
             self.live[i] = live
             self.producers[self.rhs[i]] += 1 if live else -1
 
-    def close(self, seed: AbstractSet[str], goal: str | None = None) -> AbstractSet[str]:
+    def close(
+        self,
+        seed: AbstractSet[str],
+        goal: str | None = None,
+        live: Sequence[bool] | None = None,
+    ) -> AbstractSet[str]:
         """Closure of ``seed`` under the live pairs.
 
         With a ``goal``, the walk stops as soon as the goal is reached, and
         returns ``seed`` itself when no live pair produces the goal; the
-        result then decides only whether the goal is in the closure.
+        result then decides only whether the goal is in the closure.  A
+        ``live`` mask, one flag per pair, replaces the kernel's own for this
+        walk alone; it may only narrow the live pairs, since the goal test
+        counts the kernel's.
         """
         if goal is not None and (goal in seed or not self.producers[goal]):
             return seed
-        rhs, live, width, users = self.rhs, self.live, self.width, self.users
+        rhs, width, users = self.rhs, self.width, self.users
+        if live is None:
+            live = self.live
         reach = set(seed)
         missing: dict[int, int] = {}
         stack = list(reach)

@@ -152,7 +152,10 @@ class SchemaList:
         if target is None:
             raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
         if len(fd.lhs) > MAX_LHS:
-            raise LhsTooLarge(f"left-hand side of size {len(fd.lhs)} exceeds limit {MAX_LHS}")
+            raise LhsTooLarge(
+                f"relation {self.relation_name!r}: dependency {', '.join(sorted(fd.lhs))} -> {fd.rhs}: "
+                f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
+            )
         determiners = []
         for name in fd.lhs:
             node = self.find_node(name)
@@ -164,6 +167,7 @@ class SchemaList:
             return
         if len(target.determiner_slots) >= MAX_DETERMINERS:
             raise DeterminerSlotsExhausted(
+                f"relation {self.relation_name!r}: "
                 f"attribute {fd.rhs!r} already has {MAX_DETERMINERS} determiners"
             )
         target.determiner_slots.append(slot)

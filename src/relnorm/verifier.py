@@ -1,18 +1,25 @@
 """Decomposition-quality oracles, independent of the synthesis path.
 
-Lossless join is decided by the chase (Aho, Beeri & Ullman, TODS 1979),
-run as a worklist over integer symbols in the manner of Downey, Sethi &
-Tarjan (JACM 1980): one tableau row per table, each column keeping the
-classes of rows that share a symbol, a dependency applied again only after
-a column of its left-hand side merged, and a stop as soon as some row is
-fully distinguished.  Dependency preservation is decided by
-the restricted-closure test of Beeri and Honeyman: the closure of a
-left-hand side under the union of the per-table projections is grown
-table by table, through the closure of what each table already sees,
-without ever computing a projection.  A dependency embedded in one table
-(its left- and right-hand attributes all inside it) is preserved without
-a closure.  Both tests are exact and polynomial; no heuristic projection
-is used, so the verdicts here are trustworthy for auditing the normalizer.
+Lossless join is decided first by a walk: the closure of the first table
+under the cover dependencies that some table embeds (its left- and
+right-hand attributes all inside one table).  Every firing is a step of
+the chase for the first table's row, so a walk that reaches the universe
+proves the join lossless.  It does whenever every cover dependency is
+embedded and the first table holds a key, as in every bundled 2NF and 3NF
+decomposition: such a decomposition preserves the dependencies and has a
+superkey table (Biskup, Dayal & Bernstein, SIGMOD 1979).  Otherwise the
+chase decides (Aho, Beeri & Ullman, TODS 1979), run as a worklist over
+integer symbols in the manner of Downey, Sethi & Tarjan (JACM 1980): one
+tableau row per table, each column keeping the classes of rows that share
+a symbol, a dependency applied again only after a column of its left-hand
+side merged, and a stop as soon as some row is fully distinguished.
+Dependency preservation is decided by the restricted-closure test of
+Beeri and Honeyman: the closure of a left-hand side under the union of the
+per-table projections is grown table by table, through the closure of
+what each table already sees, without ever computing a projection.  An
+embedded dependency is preserved without a closure.  Both tests are exact
+and polynomial; no heuristic projection is used, so the verdicts here are
+trustworthy for auditing the normalizer.
 
 Every oracle reads the cover through the views the ``FdSet`` keeps of
 itself, each built at its first use and shared by every later call, both
@@ -29,7 +36,10 @@ built, the costs are:
   per dependency and table holding its right-hand attribute; a dependency
   no table embeds then takes rounds of one closure per table, and only
   such a dependency builds the kernel;
-- ``is_lossless``: the tableau (tables × universe) plus the rule firings,
+- ``is_lossless``: the same subset tests, which mark the embedded
+  dependencies, plus one walk of the kernel, linear in the dependencies it
+  touches.  Only when the walk falls short are the chase's rules built and
+  the chase run: the tableau (tables × universe) plus the rule firings,
   each a pass over the merged classes of one column.
 """
 
@@ -59,22 +69,46 @@ class Violation:
     determiner: frozenset[str]
 
 
-def _check_within_universe(tables: Sequence[TableStructure], universe: Sequence[str]) -> set[str]:
-    """The universe as a set, once every table is checked to lie inside it."""
+def _parts(tables: Sequence[TableStructure], universe: Sequence[str]) -> list[frozenset[str]]:
+    """Each table's attributes as a set, once every table is checked to lie
+    inside ``universe``."""
     known = set(universe)
+    parts = []
     for table in tables:
-        outside = set(table.attributes) - known
-        if outside:
+        part = frozenset(table.attributes)
+        if not part <= known:
             raise UnknownAttribute(
-                f"table {table.name!r} mentions attributes outside the universe: {sorted(outside)}"
+                f"table {table.name!r} mentions attributes outside the universe: {sorted(part - known)}"
             )
-    return known
+        parts.append(part)
+    return parts
+
+
+def _embedded(fds: FdSet, parts: Sequence[frozenset[str]]) -> list[bool]:
+    """Per cover dependency X -> A, whether one table holds all of X ∪ {A}."""
+    holders: dict[str, list[frozenset[str]]] = {}
+    for part in parts:
+        for name in part:
+            holders.setdefault(name, []).append(part)
+    return [any(fd.lhs <= part for part in holders.get(fd.rhs, ())) for fd in fds]
 
 
 def is_lossless(
     universe: Sequence[str], fds: FdSet, tables: Sequence[TableStructure]
 ) -> bool:
-    """Chase test for the lossless-join property.
+    """Chase test for the lossless-join property, tried first by a walk.
+
+    The walk closes the first table's attributes on the cover's kernel,
+    firing only the dependencies X -> A that some table T embeds (X ∪ {A}
+    inside T).  Each firing is a sound chase step: the first row and T's
+    row are both distinguished on X, and T's row is distinguished on A, so
+    the first row's A becomes distinguished too.  A walk that reaches the
+    universe therefore returns True.  It always does when every cover
+    dependency is embedded and the first table holds a key, since the walk
+    is then the key's full closure.  The chase decides the rest: when the
+    walk falls short, when ``tables`` is empty, and when ``universe`` names
+    attributes outside the cover's, idle columns that only the first table
+    could supply.
 
     The tableau has one row per table and one column per attribute of the
     universe.  Symbols are integers: 0 is distinguished, and row ``r``
@@ -99,12 +133,17 @@ def is_lossless(
     Every table and every attribute of the cover's universe must lie in
     ``universe``; otherwise :class:`~relnorm.errors.UnknownAttribute` is raised.
     """
-    known = _check_within_universe(tables, universe)
+    parts = _parts(tables, universe)
+    known = set(universe)
     outside = set(fds.universe) - known
     if outside:
         raise UnknownAttribute(
             f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
         )
+    if parts and len(known) == len(fds.universe):
+        reach = fds._kernel.close(parts[0], live=_embedded(fds, parts))
+        if len(reach) == len(known):
+            return True
     # Columns are numbered by the cover's universe.  Any other name of
     # ``universe`` is a column no rule reads or writes, so a row's cell
     # there never changes and only counts towards the row's missing cells.
@@ -113,9 +152,8 @@ def is_lossless(
     rows = []
     classes: list[dict[int, list[int]]] = [{} for _ in column]
     missing = []  # per row, the cells not yet distinguished
-    for r, table in enumerate(tables):
+    for r, owned in enumerate(parts):
         row = [r + 1] * len(column)
-        owned = set(table.attributes)
         for name in owned:
             c = column.get(name)
             if c is not None:
@@ -181,14 +219,9 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     skipped.  Every closure runs on the cover's kernel, which is built
     only when some dependency is not embedded.
     """
-    _check_within_universe(tables, fds.universe)
-    parts = [frozenset(table.attributes) for table in tables]
-    holders: dict[str, list[frozenset[str]]] = {}
-    for part in parts:
-        for name in part:
-            holders.setdefault(name, []).append(part)
-    for fd in fds:
-        if any(fd.lhs <= part for part in holders.get(fd.rhs, ())):
+    parts = _parts(tables, fds.universe)
+    for fd, embedded in zip(fds, _embedded(fds, parts)):
+        if embedded:
             continue
         kernel = fds._kernel
         reach, seen = set(fd.lhs), 0

@@ -8,7 +8,7 @@ from relnorm.errors import DuplicateAttribute, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd, closure, implies, minimal_cover, split_rhs
 from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency
-from relnorm.verifier import preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies
 
 FD = FunctionalDependency.of
 
@@ -169,14 +169,22 @@ class TestSharedKernel:
         kernel = fds._kernel
         users = {name: list(pairs) for name, pairs in kernel.users.items()}
         producers = dict(kernel.producers)
+        live = list(kernel.live)
         tables = [TableStructure("t1", ["a", "b"], ["a"]), TableStructure("t2", ["a", "c"], ["a"])]
+        abd, bc = TableStructure("t3", list("abd"), ["a"]), TableStructure("t4", list("bc"), ["b"])
         assert not preserves_dependencies(fds, tables)
+        # is_lossless walks from the first table under a mask of the pairs
+        # some table embeds: a -> b alone for the first two lists, so the
+        # chase decides them; both pairs for the third, so the walk does
+        assert not is_lossless(fds.universe, fds, tables)
+        assert is_lossless(fds.universe, fds, [abd, tables[1]])
+        assert is_lossless(fds.universe, fds, [abd, bc])
         assert closure({"c"}, fds) == {"c"}
         assert closure({"a", "d"}, fds) == {"a", "b", "c", "d"}
         assert not implies(fds, FD("c", "a"))
         assert not implies(fds, FD("a", "d"))
         assert fds._kernel is kernel
-        assert kernel.users == users and kernel.producers == producers
+        assert kernel.users == users and kernel.producers == producers and kernel.live == live
 
     def test_one_kernel_for_many_calls(self, monkeypatch):
         built = []

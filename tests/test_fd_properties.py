@@ -204,6 +204,29 @@ def test_is_lossless_reads_names_outside_the_cover_as_idle_columns(data):
     assert is_lossless(fds.universe, narrow, tables) == expected
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_is_lossless_walks_when_every_dependency_is_embedded(data):
+    # a superkey table first and a table around every dependency: the walk
+    # from the first table reaches the universe, so the chase never runs
+    fds = data.draw(fd_sets())
+    universe = fds.universe
+    seed = data.draw(st.sets(st.sampled_from(universe)))
+    index = {name: i for i, name in enumerate(universe)}
+    rules = compile_rules(fds, universe)
+    reach = mask_closure(sum(1 << index[name] for name in seed), rules, len(universe))
+    key = seed | {name for name in universe if not reach >> index[name] & 1}
+    extra = data.draw(st.lists(st.sets(st.sampled_from(universe), min_size=1), max_size=2))
+    rest = data.draw(st.permutations([fd.lhs | {fd.rhs} for fd in fds] + extra))
+    tables = [
+        TableStructure(f"t{i}", sorted(attrs), sorted(attrs)[:1])
+        for i, attrs in enumerate([key, *rest])
+    ]
+    assert brute_lossless(fds, [t.attributes for t in tables])
+    assert is_lossless(universe, fds, tables)
+    assert "_chase_rules" not in vars(fds)
+
+
 @st.composite
 def keyed_tables(draw, universe):
     """Arbitrary tables over ``universe``: attributes in any order, repeats

@@ -1,6 +1,8 @@
 """Closed-form outputs on relations wide enough that a stage quadratic in
 attributes plus dependencies would take minutes; no timing is asserted."""
 
+import random
+
 from relnorm.ddl import emit_ddl
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
@@ -57,3 +59,25 @@ def test_star_three_thousand_wide():
         assert preserves_dependencies(state.cover, tables)
         assert is_lossless(["k", *dependents], state.cover, tables)
         assert not any(scan_violations(t, state.cover, mode) for t in tables)
+
+
+def test_shuffled_shortcut_chain_is_decided_without_the_chase():
+    # a0 -> a1 -> ... -> a2399 plus every a_i -> a_(i+2), key a0, lines
+    # shuffled.  The cover drops the shortcuts and each later 3NF table holds
+    # one link, so the walk from the main table reaches every attribute;
+    # the chase would have to distinguish about tables x attributes cells.
+    n = 2400
+    rng = random.Random(2400)
+    a = [f"a{i}" for i in range(n)]
+    attributes = [RawAttribute(name, is_key=(i == 0)) for i, name in enumerate(a)]
+    fds = [RawFd((a[i],), (a[i + 1],)) for i in range(n - 1)]
+    fds += [RawFd((a[i],), (a[i + 2],)) for i in range(n - 2)]
+    rng.shuffle(attributes)
+    rng.shuffle(fds)
+    state = prepare(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
+    t3 = decompose_3nf(state.classification)
+
+    assert len(t3) == n - 1
+    assert {frozenset(t.attributes) for t in t3} == {frozenset(a[i : i + 2]) for i in range(n - 1)}
+    assert is_lossless(a, state.cover, t3)
+    assert "_chase_rules" not in vars(state.cover)

@@ -65,6 +65,8 @@ class TestIsLossless:
             for decompose in (decompose_2nf, decompose_3nf):
                 tables = decompose(state.classification)
                 assert is_lossless(universe, state.cover, tables), raw.relation_name
+            # the walk from the key table decided both
+            assert "_chase_rules" not in vars(state.cover), raw.relation_name
 
 
 class TestPreservesDependencies:
@@ -150,6 +152,9 @@ class TestCoverIndex:
             preserves_dependencies(cover, tables[:1])
             for t in tables:
                 scan_violations(t, cover, mode)
+        # one table per attribute embeds no dependency, so the walk falls
+        # short and the chase runs
+        assert not is_lossless(cover.universe, cover, [table(n, [n], [n]) for n in cover.universe])
         views = {"_by_rhs", "_chase_rules", "_kernel"}
         assert views <= set(vars(cover))
         assert not views & set(vars(twin))
