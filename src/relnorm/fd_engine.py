@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import DuplicateAttribute, UnknownAttribute
@@ -39,13 +38,13 @@ class FdSet:
     Exact duplicates are dropped on construction, keeping the first
     occurrence.  Every attribute mentioned must belong to the universe.
 
-    The set is immutable, so it keeps three read-only views of itself,
-    each built on first use in time linear in the universe plus the
+    The set is immutable, so it keeps two read-only views of itself, each
+    built on first use in time linear in the universe plus the
     dependencies and then shared by every later :func:`closure`,
     :func:`implies` and oracle call in :mod:`relnorm.verifier`: the
-    producers of each right-hand attribute (``_by_rhs``), the chase's
-    rules (``_chase_rules``) and a closure kernel (``_kernel``).  None is
-    a field: equality, hashing and ``repr`` never see them.
+    producers of each right-hand attribute (``_by_rhs``) and a closure
+    kernel (``_kernel``).  Neither is a field: equality, hashing and
+    ``repr`` never see them.
     """
 
     fds: tuple[FunctionalDependency, ...]
@@ -80,23 +79,6 @@ class FdSet:
         for i, fd in enumerate(self.fds):
             out[fd.rhs] = out.get(fd.rhs, ()) + (i,)
         return out
-
-    @cached_property
-    def _chase_rules(self) -> tuple[dict[str, int], tuple, tuple[tuple[int, ...], ...]]:
-        """The chase's view: ``(column, rules, users)``.  ``column`` numbers
-        the universe; rule i is the i-th dependency X -> A as (first column
-        of X, an ``itemgetter`` of the rest of X or None, A's column); and
-        ``users[c]`` lists the rules with column c in X."""
-        column = {name: c for c, name in enumerate(self.universe)}
-        rules = []
-        users: list[list[int]] = [[] for _ in column]
-        for i, fd in enumerate(self.fds):
-            lhs = sorted([column[name] for name in fd.lhs])
-            for c in lhs:
-                users[c].append(i)
-            rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
-        # tuples, which the collector stops tracking once they hold only ints
-        return column, tuple(rules), tuple(map(tuple, users))
 
     @cached_property
     def _kernel(self) -> _Kernel:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
@@ -249,40 +250,71 @@ def _base_tables(c: Classification) -> list[TableStructure]:
     return [main] + [_group_table(group) for group in c.a2]
 
 
+def _holders(tables: list[TableStructure]) -> dict[str, int]:
+    """The host index: each name -> the positions of its tables, as bits."""
+    holders: dict[str, int] = {}
+    for pos, table in enumerate(tables):
+        for name in table.attributes:
+            holders[name] = holders.get(name, 0) | 1 << pos
+    return holders
+
+
+def _host(holders: dict[str, int], det: Sequence[str], skip: int | None = None) -> int | None:
+    """The earliest table other than ``skip`` holding all of ``det``."""
+    hosts = -1 if skip is None else ~(1 << skip)
+    for name in det:
+        hosts &= holders.get(name, 0)
+    return (hosts & -hosts).bit_length() - 1 if hosts else None  # the lowest bit
+
+
+def _take(tables: list[TableStructure], holders: dict[str, int], pos: int, names: Sequence[str]) -> None:
+    """Table ``pos`` takes the names it lacks, in order; the index records them."""
+    bit = 1 << pos
+    for name in names:
+        held = holders.get(name, 0)
+        if not held & bit:
+            holders[name] = held | bit
+            tables[pos].attributes.append(name)
+
+
 def decompose_2nf(c: Classification) -> list[TableStructure]:
     """Second-normal-form synthesis.
 
     The main table carries the key plus all full dependents; one table per
-    partial-dependency group.  Transitive groups are then attached to the
-    earliest-built table containing their whole determiner, iterating to a
-    fixpoint; groups whose determiner appears nowhere fall back into the
-    main table together with their determiner attributes.
+    partial-dependency group.  Transitive groups then attach in rounds: at
+    its turn, by round and then ``a3`` position, a group joins the earliest
+    table holding its whole determiner.  Rounds end when one places nothing;
+    groups never placed fall into the main table, determiner included.  A
+    group with no host waits until a placed group brings one of its
+    determiner names, then retries this round if still ahead, else the next:
+    a heap step per turn and per wake-up, not a pass per round.
     """
     tables = _base_tables(c)
     if not c.a3:
         return _unique_names(tables)
-    # each table's columns as one ordered dict; setdefault appends a name
-    # the table lacks and leaves one it holds where it is
-    columns = [dict.fromkeys(t.attributes) for t in tables]
-    pending = [(frozenset(g.determiner), g) for g in c.a3]
-    while pending:
-        waiting = []
-        for det, group in pending:
-            for cols in columns:
-                if cols.keys() >= det:
-                    for name in group.dependents:
-                        cols.setdefault(name)
-                    break
-            else:
-                waiting.append((det, group))
-        if len(waiting) == len(pending):
-            break
-        pending = waiting
-    for _, group in pending:
-        for name in (*group.determiner, *group.dependents):
-            columns[0].setdefault(name)
-    for table, cols in zip(tables, columns):
-        table.attributes = list(cols)
+    groups, n = c.a3, len(c.a3)
+    holders = _holders(tables)
+    turns = list(range(n))  # round * n + position; sorted, so a heap
+    waits = [False] * n  # no host at its last turn
+    waiting: dict[str, list[int]] = {}
+    while turns:
+        turn = heappop(turns)
+        j = turn % n
+        host = _host(holders, groups[j].determiner)
+        if host is None:
+            waits[j] = True
+            for name in groups[j].determiner:
+                waiting.setdefault(name, []).append(j)
+            continue
+        _take(tables, holders, host, groups[j].dependents)
+        for name in groups[j].dependents:
+            for k in waiting.pop(name, ()):
+                if waits[k]:
+                    waits[k] = False
+                    heappush(turns, turn - j + k + (n if k < j else 0))
+    for group, left in zip(groups, waits):
+        if left:
+            _take(tables, holders, 0, (*group.determiner, *group.dependents))
     return _unique_names(tables)
 
 
@@ -302,22 +334,13 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
     _unique_names(tables)
     if first == len(tables):
         return tables
-    # determiner attribute -> positions of the tables holding it
-    holders: dict[str, set[int]] = {name: set() for t in tables[first:] for name in t.primary_key}
-    for pos, t in enumerate(tables):
-        for name in t.attributes:
-            if name in holders:
-                holders[name].add(pos)
-    for pos in range(first, len(tables)):
-        table = tables[pos]
-        det = table.primary_key
-        host = min(set.intersection(*(holders[name] for name in det)) - {pos}, default=0)
-        if host == 0:  # the main table, which takes the names it lacks
-            for name in det:
-                if 0 not in holders[name]:
-                    holders[name].add(0)
-                    tables[0].attributes.append(name)
-        tables[host].foreign_keys.append(ForeignKey(tuple(det), table.name))
+    holders = _holders(tables)
+    for pos, table in enumerate(tables[first:], first):
+        host = _host(holders, table.primary_key, pos)
+        if host is None:  # the main table, which takes the names it lacks
+            host = 0
+            _take(tables, holders, 0, table.primary_key)
+        tables[host].foreign_keys.append(ForeignKey(tuple(table.primary_key), table.name))
     return tables
 
 

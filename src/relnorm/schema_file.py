@@ -41,8 +41,7 @@ def _parse_attr(lineno: int, rest: str) -> RawAttribute:
     match = _COMPOSITE.search(rest)
     if match:
         parts = [p.strip() for p in match.group(1).split(",")]
-        parts = [p for p in parts if p]
-        if not parts:
+        if not any(parts):
             raise SchemaSyntaxError(lineno, "composite(...) needs at least one component")
         components = tuple(_require_identifier(lineno, p, "component name") for p in parts)
         rest = rest[: match.start()] + rest[match.end():]

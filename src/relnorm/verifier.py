@@ -21,13 +21,13 @@ embedded dependency is preserved without a closure.  Both tests are exact
 and polynomial; no heuristic projection is used, so the verdicts here are
 trustworthy for auditing the normalizer.
 
-Every oracle reads the cover through the views the ``FdSet`` keeps of
-itself, each built at its first use and shared by every later call, both
-normal forms and every table: the dependencies per right-hand attribute
-(``_by_rhs``), the chase's rules (``_chase_rules``) and the closure kernel
-(``_kernel``, shared with :func:`~relnorm.fd_engine.closure`).  Each is
-built in time linear in the universe plus the cover.  With the views
-built, the costs are:
+Every oracle reads the cover through the two views the ``FdSet`` keeps
+of itself, each built at its first use and shared by every later call,
+both normal forms and every table: the dependencies per right-hand
+attribute (``_by_rhs``) and the closure kernel (``_kernel``, shared with
+:func:`~relnorm.fd_engine.closure`).  Each is built in time linear in the
+universe plus the cover; the chase builds its own rules on each call.
+With the views built, the costs are:
 
 - ``scan_violations``: the table's width plus the dependencies whose
   right-hand side is a non-key attribute of the table, so scanning every
@@ -38,9 +38,9 @@ built, the costs are:
   such a dependency builds the kernel;
 - ``is_lossless``: the same subset tests, which mark the embedded
   dependencies, plus one walk of the kernel, linear in the dependencies it
-  touches.  Only when the walk falls short are the chase's rules built and
-  the chase run: the tableau (tables × universe) plus the rule firings,
-  each a pass over the merged classes of one column.
+  touches.  Only when the walk falls short does the chase run: its rules
+  (linear in the cover), the tableau (tables × universe) plus the rule
+  firings, each a pass over the merged classes of one column.
 """
 
 from __future__ import annotations
@@ -144,23 +144,29 @@ def is_lossless(
         reach = fds._kernel.close(parts[0], live=_embedded(fds, parts))
         if len(reach) == len(known):
             return True
-    # Columns are numbered by the cover's universe.  Any other name of
-    # ``universe`` is a column no rule reads or writes, so a row's cell
-    # there never changes and only counts towards the row's missing cells.
-    column, rules, users = fds._chase_rules
-    width = len(known)
+    return _chase(universe, fds, parts)
+
+
+def _chase(universe: Sequence[str], fds: FdSet, parts: Sequence[frozenset[str]]) -> bool:
+    """The chase of :func:`is_lossless`: a column per name of ``universe``, a row per part."""
+    column = {name: c for c, name in enumerate(dict.fromkeys(universe))}
+    rules = []  # per dependency: X's first column, an itemgetter of the rest of X or None, A's column
+    users: list[list[int]] = [[] for _ in column]  # per column, the rules with it in X
+    for i, fd in enumerate(fds):
+        lhs = sorted([column[name] for name in fd.lhs])
+        for c in lhs:
+            users[c].append(i)
+        rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
     rows = []
     classes: list[dict[int, list[int]]] = [{} for _ in column]
     missing = []  # per row, the cells not yet distinguished
     for r, owned in enumerate(parts):
         row = [r + 1] * len(column)
         for name in owned:
-            c = column.get(name)
-            if c is not None:
-                row[c] = 0
-                classes[c].setdefault(0, []).append(r)
+            row[column[name]] = 0
+            classes[column[name]].setdefault(0, []).append(r)
         rows.append(row)
-        missing.append(width - len(owned))
+        missing.append(len(column) - len(owned))
     if not all(missing):
         return True
 

@@ -228,3 +228,56 @@ def wave_order(tables) -> tuple[list, str | None]:
         done.update(t.name for t in ready)
         remaining = [t for t in remaining if t not in ready]
     return order, None
+
+
+def fixpoint_2nf(c) -> tuple[list, int, int]:
+    """Second-normal-form tables, by rounds run to a fixpoint.
+
+    ``c`` is a classification: ``relation_name``, ``a1``, ``a2`` and ``a3``
+    (groups with a ``determiner`` and ``dependents``) and
+    ``prime_attributes``.  The main table holds ``a1``, keyed by the prime
+    attributes; each partial group gets a table holding its determiner
+    and then its dependents, keyed by the determiner.  Each round then
+    tries every pending transitive group in order: the first table holding
+    its whole determiner takes the dependents it lacks.  Rounds repeat
+    until one places nothing, and the groups left go into the main table,
+    determiner then dependents, in order.  A repeated table name gets
+    ``_2``, ``_3`` and so on.
+
+    Returns ``(tables, rounds, unplaced)``: each table as ``(name,
+    columns, primary key, [])``, the number of rounds that placed a group,
+    and the number of groups that fell back into the main table.
+    """
+
+    def add(columns, names):
+        for name in names:
+            if name not in columns:
+                columns.append(name)
+
+    tables = [[f"{c.relation_name}_main", [], list(c.prime_attributes)]]
+    add(tables[0][1], c.a1)
+    for group in c.a2:
+        tables.append(["_".join(group.determiner), [], list(group.determiner)])
+        add(tables[-1][1], (*group.determiner, *group.dependents))
+    pending, rounds = list(c.a3), 0
+    while pending:
+        waiting = []
+        for group in pending:
+            hosts = [columns for _, columns, _ in tables if set(group.determiner) <= set(columns)]
+            if hosts:
+                add(hosts[0], group.dependents)
+            else:
+                waiting.append(group)
+        if len(waiting) == len(pending):
+            break
+        pending, rounds = waiting, rounds + 1
+    for group in pending:
+        add(tables[0][1], (*group.determiner, *group.dependents))
+    seen: set[str] = set()
+    for table in tables:
+        name, suffix = table[0], 2
+        while name in seen:
+            name, suffix = f"{table[0]}_{suffix}", suffix + 1
+        table[0] = name
+        seen.add(name)
+    return [(name, columns, key, []) for name, columns, key in tables], rounds, len(pending)

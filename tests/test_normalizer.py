@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 
+from oracles import fixpoint_2nf
 from relnorm.ddl import emit_ddl
 from relnorm.errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd
@@ -263,6 +264,40 @@ class TestDecompose2nf:
     def test_unplaced_groups_fall_back_in_turn_order(self):
         c = by_hand("k", [], [("x", "y"), ("k x", "z"), ("y", "w")], primes=("k",))
         assert layout(decompose_2nf(c)) == [("R_main", ["k", "x", "y", "z", "w"], ["k"], [])]
+
+
+@st.composite
+def classifications(draw):
+    """Hand-built classifications over ten names.  The transitive groups
+    are a tree of one-name links grown from a prime attribute, which needs
+    a round per link listed before the link it hangs from, shuffled among
+    up to four free groups, which may share a determiner, name a key
+    attribute or fall back into the main table.  Up to three partial
+    groups hang from the key."""
+    names = st.sampled_from("abcdefghij")
+    order = draw(st.permutations("abcdefghij"))
+    primes = order[: draw(st.integers(1, 2))]
+    a1 = primes + draw(st.lists(names, max_size=2, unique=True))
+    tree = order[len(primes) - 1 : len(primes) + draw(st.integers(0, 8))]
+    links = [DependencyGroup((tree[draw(st.integers(0, i - 1))],), (tree[i],)) for i in range(1, len(tree))]
+
+    def groups(pool, most):
+        one_or_two = st.lists(pool, min_size=1, max_size=2, unique=True).map(tuple)
+        return st.lists(st.builds(DependencyGroup, one_or_two, one_or_two), max_size=most)
+
+    a3 = draw(st.permutations(links + draw(groups(names, 4))))
+    a2 = draw(groups(st.sampled_from(primes), 3))
+    return Classification("R", tuple(a1), tuple(a2), tuple(a3), tuple(primes))
+
+
+@settings(max_examples=300)
+@given(classifications())
+def test_2nf_matches_the_fixpoint_reference(c):
+    expected, rounds, unplaced = fixpoint_2nf(c)
+    event(f"rounds placing a group: {rounds if rounds < 3 else '3+'}")
+    event(f"partial tables: {'some' if c.a2 else 'none'}")
+    event(f"fallback into main: {'some' if unplaced else 'none'}")
+    assert layout(decompose_2nf(c)) == expected
 
 
 class TestDecompose3nf:

@@ -76,9 +76,13 @@ class TestParse:
             ("attr a unique", "unknown attribute flag 'unique'"),
             ("attr n multivalued composite(a, b)", "an attribute cannot be both multivalued and composite"),
             ("fd k => a", "fd needs '<lhs> -> <rhs>'"),
+            ("attr n composite(a,,b)", "invalid component name: ''"),
+            ("attr n composite(a, b,)", "invalid component name: ''"),
+            ("attr n composite(, a)", "invalid component name: ''"),
         ],
         ids=["empty-composite", "attr-without-name", "composite-without-name", "unknown-flag",
-             "multivalued-composite", "fd-without-arrow"],
+             "multivalued-composite", "fd-without-arrow", "composite-inner-empty", "composite-trailing-comma",
+             "composite-leading-comma"],
     )
     def test_malformed_line_names_the_fault(self, line, message):
         with pytest.raises(SchemaSyntaxError) as caught:
