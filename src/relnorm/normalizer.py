@@ -250,12 +250,14 @@ def _base_tables(c: Classification) -> list[TableStructure]:
     return [main] + [_group_table(group) for group in c.a2]
 
 
-def _holders(tables: list[TableStructure]) -> dict[str, int]:
-    """The host index: each name -> the positions of its tables, as bits."""
+def _holders(tables: Sequence[TableStructure]) -> dict[str, int]:
+    """The host index: each name -> the positions of its tables, as bits.
+    The verifier's oracles read the same index of the tables they test."""
     holders: dict[str, int] = {}
     for pos, table in enumerate(tables):
+        bit = 1 << pos
         for name in table.attributes:
-            holders[name] = holders.get(name, 0) | 1 << pos
+            holders[name] = holders.get(name, 0) | bit
     return holders
 
 

@@ -32,15 +32,18 @@ With the views built, the costs are:
 - ``scan_violations``: the table's width plus the dependencies whose
   right-hand side is a non-key attribute of the table, so scanning every
   table of a decomposition is linear in the tables plus the cover;
-- ``preserves_dependencies``: the tables' widths, plus one subset test
-  per dependency and table holding its right-hand attribute; a dependency
-  no table embeds then takes rounds of one closure per table, and only
-  such a dependency builds the kernel;
-- ``is_lossless``: the same subset tests, which mark the embedded
-  dependencies, plus one walk of the kernel, linear in the dependencies it
-  touches.  Only when the walk falls short does the chase run: its rules
-  (linear in the cover), the tableau (tables × universe) plus the rule
-  firings, each a pass over the merged classes of one column.
+- ``preserves_dependencies``: the tables' widths, to build the host index
+  :func:`~relnorm.normalizer._holders` (name -> its tables, as int bits),
+  plus one bit AND per name of each dependency, embedded iff the AND is
+  nonzero, at a machine word per 30 tables; a dependency no table embeds
+  then takes rounds of one closure per table, and only such a dependency
+  builds the kernel and the tables' sets;
+- ``is_lossless``: the same index and ANDs, which mark the embedded
+  dependencies, plus one walk of the kernel from the first table, linear in
+  the dependencies it touches.  Only when the walk falls short does the
+  chase run: its rules (linear in the cover), the tableau (tables ×
+  universe) plus the rule firings, each a pass over the merged classes of
+  one column.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .errors import UnknownAttribute
 from .fd_engine import FdSet
-from .normalizer import TableStructure
+from .normalizer import TableStructure, _holders
 
 
 class ViolationKind(Enum):
@@ -69,28 +72,29 @@ class Violation:
     determiner: frozenset[str]
 
 
-def _parts(tables: Sequence[TableStructure], universe: Sequence[str]) -> list[frozenset[str]]:
-    """Each table's attributes as a set, once every table is checked to lie
-    inside ``universe``."""
-    known = set(universe)
-    parts = []
-    for table in tables:
-        part = frozenset(table.attributes)
-        if not part <= known:
-            raise UnknownAttribute(
-                f"table {table.name!r} mentions attributes outside the universe: {sorted(part - known)}"
-            )
-        parts.append(part)
-    return parts
+def _index(tables: Sequence[TableStructure], known: AbstractSet[str]) -> dict[str, int]:
+    """The host index of ``tables``, once each is checked to lie inside ``known``."""
+    holders = _holders(tables)
+    if not holders.keys() <= known:
+        for table in tables:
+            outside = set(table.attributes) - known
+            if outside:
+                raise UnknownAttribute(
+                    f"table {table.name!r} mentions attributes outside the universe: {sorted(outside)}"
+                )
+    return holders
 
 
-def _embedded(fds: FdSet, parts: Sequence[frozenset[str]]) -> list[bool]:
-    """Per cover dependency X -> A, whether one table holds all of X ∪ {A}."""
-    holders: dict[str, list[frozenset[str]]] = {}
-    for part in parts:
-        for name in part:
-            holders.setdefault(name, []).append(part)
-    return [any(fd.lhs <= part for part in holders.get(fd.rhs, ())) for fd in fds]
+def _embedded(fds: FdSet, holders: dict[str, int]) -> list[bool]:
+    """Per cover dependency X -> A, whether one table holds all of X ∪ {A}:
+    the AND of the names' table bits is nonzero."""
+    live = []
+    for fd in fds:
+        hosts = holders.get(fd.rhs, 0)
+        for name in fd.lhs:
+            hosts &= holders.get(name, 0)
+        live.append(hosts != 0)
+    return live
 
 
 def is_lossless(
@@ -133,22 +137,22 @@ def is_lossless(
     Every table and every attribute of the cover's universe must lie in
     ``universe``; otherwise :class:`~relnorm.errors.UnknownAttribute` is raised.
     """
-    parts = _parts(tables, universe)
     known = set(universe)
+    holders = _index(tables, known)
     outside = set(fds.universe) - known
     if outside:
         raise UnknownAttribute(
             f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
         )
-    if parts and len(known) == len(fds.universe):
-        reach = fds._kernel.close(parts[0], live=_embedded(fds, parts))
+    if tables and len(known) == len(fds.universe):
+        reach = fds._kernel.close(tables[0].attributes, live=_embedded(fds, holders))
         if len(reach) == len(known):
             return True
-    return _chase(universe, fds, parts)
+    return _chase(universe, fds, tables)
 
 
-def _chase(universe: Sequence[str], fds: FdSet, parts: Sequence[frozenset[str]]) -> bool:
-    """The chase of :func:`is_lossless`: a column per name of ``universe``, a row per part."""
+def _chase(universe: Sequence[str], fds: FdSet, tables: Sequence[TableStructure]) -> bool:
+    """The chase of :func:`is_lossless`: a column per name of ``universe``, a row per table."""
     column = {name: c for c, name in enumerate(dict.fromkeys(universe))}
     rules = []  # per dependency: X's first column, an itemgetter of the rest of X or None, A's column
     users: list[list[int]] = [[] for _ in column]  # per column, the rules with it in X
@@ -160,7 +164,8 @@ def _chase(universe: Sequence[str], fds: FdSet, parts: Sequence[frozenset[str]])
     rows = []
     classes: list[dict[int, list[int]]] = [{} for _ in column]
     missing = []  # per row, the cells not yet distinguished
-    for r, owned in enumerate(parts):
+    for r, table in enumerate(tables):
+        owned = frozenset(table.attributes)
         row = [r + 1] * len(column)
         for name in owned:
             row[column[name]] = 0
@@ -225,10 +230,11 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     skipped.  Every closure runs on the cover's kernel, which is built
     only when some dependency is not embedded.
     """
-    parts = _parts(tables, fds.universe)
-    for fd, embedded in zip(fds, _embedded(fds, parts)):
+    parts = None  # each table's attributes as a set, built at the first dependency no table embeds
+    for fd, embedded in zip(fds, _embedded(fds, _index(tables, set(fds.universe)))):
         if embedded:
             continue
+        parts = parts or [frozenset(table.attributes) for table in tables]
         kernel = fds._kernel
         reach, seen = set(fd.lhs), 0
         while seen < len(reach) and fd.rhs not in reach:

@@ -173,6 +173,31 @@ def test_preserves_dependencies_matches_exhaustive_projection(data):
     assert preserves_dependencies(fds, tables) == expected
 
 
+@st.composite
+def padded_tables(draw, universe):
+    """:func:`covering_tables`, then 60 to 80 tables of one or two names,
+    some repeating a name, so the tables' host-index bits span several
+    machine words."""
+    tables = draw(covering_tables(universe))
+    for i in range(len(tables), len(tables) + draw(st.integers(min_value=60, max_value=80))):
+        names = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=2))
+        tables.append(TableStructure(f"t{i}", names, names[:1]))
+    return tables
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_oracles_read_table_bits_past_the_first_machine_word(data):
+    fds = data.draw(fd_sets())
+    tables = data.draw(padded_tables(fds.universe))
+    attributes = [t.attributes for t in tables]
+    lossless = brute_lossless(fds, attributes)
+    preserved = brute_preserves(fds, attributes)
+    assert is_lossless(fds.universe, fds, tables) == lossless
+    assert preserves_dependencies(fds, tables) == preserved
+    event(f"lossless: {lossless}, preserved: {preserved}")
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_is_lossless_matches_naive_chase(data):

@@ -52,7 +52,7 @@ class TestIsLossless:
 
     def test_attribute_outside_universe(self):
         fds = FdSet((), ("a",))
-        with pytest.raises(UnknownAttribute):
+        with pytest.raises(UnknownAttribute, match=r"table 't' .*\['b'\]"):
             is_lossless(("a",), fds, [table("t", "ab", "a")])
 
     def test_cover_attribute_outside_universe(self):
@@ -86,6 +86,13 @@ class TestPreservesDependencies:
         fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
         tables = [table("t1", "ab", "a"), table("t2", "ac", "a")]
         assert preserves_dependencies(fds, tables) is False
+
+    def test_attribute_outside_universe(self):
+        # the first table outside the cover's universe is named, with its strays
+        fds = FdSet((FD("a", "b"),), ("a", "b"))
+        tables = [table("s", "ab", "a"), table("t", "acb", "a"), table("u", "d", "d")]
+        with pytest.raises(UnknownAttribute, match=r"^table 't' mentions attributes outside the universe: \['c'\]$"):
+            preserves_dependencies(fds, tables)
 
     def test_kernel_is_built_only_for_a_dependency_no_table_embeds(self):
         fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
