@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import DuplicateAttribute, UnknownAttribute
-from .schema_model import FunctionalDependency
+from .schema_model import FunctionalDependency, _unchecked
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,12 @@ class FdSet:
     """An ordered set of singleton-RHS dependencies over a fixed universe.
 
     Exact duplicates are dropped on construction, keeping the first
-    occurrence.  Every attribute mentioned must belong to the universe.
+    occurrence.  The universe holds no repeated name, and every attribute
+    mentioned must belong to it.
+
+    That work runs where a set is built from outside values; a set derived
+    from checked ones (:func:`minimal_cover`'s result, ``prepare``'s split
+    and its reordered copy) is built without it.
 
     The set is immutable, so it keeps two read-only views of itself, each
     built on first use in time linear in the universe plus the
@@ -92,15 +97,25 @@ def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
 
     Output order follows input order, right-hand attributes in declared
     order.  A right-hand attribute that also appears on the left carries
-    no information and is dropped.
+    no information and is dropped, and so is a repeat of an earlier
+    dependency.
     """
+    return FdSet(_split(raw_fds), tuple(universe))
+
+
+def _split(raw_fds: Iterable[RawFd]) -> tuple[FunctionalDependency, ...]:
+    """:func:`split_rhs`'s dependencies, distinct, before any universe
+    check."""
     singles: list[FunctionalDependency] = []
+    seen: dict[frozenset[str], set[str]] = {}  # left-hand side -> its right-hand names so far
     for raw in raw_fds:
+        lhs = frozenset(raw.lhs)
+        done = seen.setdefault(lhs, set())
         for rhs in raw.rhs:
-            if rhs in raw.lhs:
-                continue
-            singles.append(FunctionalDependency(frozenset(raw.lhs), rhs))
-    return FdSet(tuple(singles), tuple(universe))
+            if rhs not in lhs and rhs not in done:
+                done.add(rhs)
+                singles.append(FunctionalDependency(lhs, rhs))
+    return tuple(singles)
 
 
 class _Kernel:
@@ -223,6 +238,8 @@ def minimal_cover(fds: FdSet) -> FdSet:
     lhs_of, rhs_of = kernel.lhs, kernel.rhs
 
     for i, lhs in enumerate(lhs_of):
+        if len(lhs) < 2:
+            continue
         rhs = rhs_of[i]
         for attr in sorted(lhs, key=position.__getitem__):
             if len(lhs) < 2:
@@ -245,11 +262,13 @@ def minimal_cover(fds: FdSet) -> FdSet:
         if rhs_of[i] not in kernel.close(lhs_of[i], rhs_of[i]):
             kernel.set_live(i, True)
 
-    return FdSet(
-        tuple(
+    # survivors are distinct and inside the universe, as ``fds`` is
+    return _unchecked(
+        FdSet,
+        fds=tuple(
             fd if fd.lhs is lhs_of[i] else FunctionalDependency(lhs_of[i], fd.rhs)
             for i, fd in enumerate(fds)
             if kernel.live[i]
         ),
-        fds.universe,
+        universe=fds.universe,
     )

@@ -23,8 +23,8 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
-from .fd_engine import FdSet, RawFd, minimal_cover, split_rhs
-from .schema_model import SchemaList, _entry_rank
+from .fd_engine import FdSet, RawFd, _split, minimal_cover
+from .schema_model import SchemaList, _entry_rank, _unchecked
 
 
 class RawKind(Enum):
@@ -56,21 +56,21 @@ class RawAttribute:
 
 @dataclass(frozen=True)
 class RawSchema:
-    """A relation as declared: attributes with kinds plus raw dependencies."""
+    """A relation as declared: attributes with kinds plus raw dependencies.
+
+    Construction checks that attribute and component names, taken
+    together, hold no repeat, that some attribute is a key, and that
+    dependencies name only declared attributes.  The parser makes these
+    checks line by line and builds its value without repeating them.
+    """
 
     relation_name: str
     attributes: tuple[RawAttribute, ...]
     declared_fds: tuple[RawFd, ...] = ()
 
     def __post_init__(self) -> None:
-        # attribute and component names, taken together, hold no repeat
-        declared = [name for a in self.attributes for name in (a.name, *a.components)]
-        known = set(declared)
-        if len(known) != len(declared):
-            dupes = sorted({name for name in declared if declared.count(name) > 1})
-            raise DuplicateAttribute(f"duplicate attribute names in {self.relation_name!r}: {dupes}")
-        if not any(a.is_key for a in self.attributes):
-            raise NoKeyDeclared(f"relation {self.relation_name!r} declares no key attribute")
+        known = _distinct(self.relation_name, [name for a in self.attributes for name in (a.name, *a.components)])
+        _require_key(self)
         for fd in self.declared_fds:
             for name in (*fd.lhs, *fd.rhs):
                 if name not in known:
@@ -83,23 +83,47 @@ class RawSchema:
         return tuple(a.name for a in self.attributes if a.is_key)
 
 
+def _distinct(relation_name: str, names: list[str]) -> set[str]:
+    """The set of ``names``; raises DuplicateAttribute when one repeats."""
+    known = set(names)
+    if len(known) != len(names):
+        dupes = sorted({name for name in names if names.count(name) > 1})
+        raise DuplicateAttribute(f"duplicate attribute names in {relation_name!r}: {dupes}")
+    return known
+
+
+def _require_key(raw: RawSchema) -> None:
+    if not any(a.is_key for a in raw.attributes):
+        raise NoKeyDeclared(f"relation {raw.relation_name!r} declares no key attribute")
+
+
 def to_first_normal_form(raw: RawSchema) -> RawSchema:
     """Flatten to atomic attributes.
 
     Composite attributes are replaced in place by their components, which
     inherit the key flag.  Multivalued attributes become ``<name>_ID`` and
     atomic.  Dependencies follow the rewriting: a composite mentioned in a
-    dependency is replaced by all of its components on either side.  The
-    flat :class:`RawSchema` returned rejects a repeated flattened name.
+    dependency is replaced by all of its components on either side, and a
+    name repeated on one side is kept once.  A repeated flattened name is
+    rejected.
+
+    A relation with only atomic attributes and no name repeated on a side
+    is already flat and is returned as it is.  Otherwise the flat relation
+    is built without :class:`RawSchema`'s checks, which ``raw`` has passed
+    and which flattening preserves, save the one for repeats.
     """
-    replacement: dict[str, tuple[str, ...]] = {}
+    replacement = {a.name: a.flat_names() for a in raw.attributes if a.kind is not RawKind.ATOMIC}
+    if not replacement and all(
+        len(set(fd.lhs)) == len(fd.lhs) and len(set(fd.rhs)) == len(fd.rhs) for fd in raw.declared_fds
+    ):
+        return raw
     flat: list[RawAttribute] = []
     for a in raw.attributes:
-        names = replacement[a.name] = a.flat_names()
         if a.kind is RawKind.ATOMIC:
             flat.append(a)
         else:
-            flat.extend(RawAttribute(name, a.is_key) for name in names)
+            flat.extend(RawAttribute(name, a.is_key) for name in replacement[a.name])
+    _distinct(raw.relation_name, [a.name for a in flat])
 
     def expand(names: tuple[str, ...]) -> tuple[str, ...]:
         out: list[str] = []
@@ -108,7 +132,7 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
         return tuple(dict.fromkeys(out))
 
     rewritten = tuple(RawFd(expand(fd.lhs), expand(fd.rhs)) for fd in raw.declared_fds)
-    return RawSchema(raw.relation_name, tuple(flat), rewritten)
+    return _unchecked(RawSchema, relation_name=raw.relation_name, attributes=tuple(flat), declared_fds=rewritten)
 
 
 @dataclass(frozen=True)
@@ -383,14 +407,18 @@ def prepare(raw: RawSchema) -> PipelineState:
     reordered so that dependencies whose left-hand side contains a
     non-key attribute are examined for redundancy first; this keeps the
     key-rooted dependencies in the cover whenever a choice exists.
+
+    ``flat`` has passed :class:`RawSchema`'s checks, so the split and its
+    reordered copy skip :class:`FdSet`'s; each equals what ``split_rhs``
+    and ``FdSet`` build from the same values.
     """
     flat = to_first_normal_form(raw)
     universe = flat.attribute_names()
-    split = split_rhs(flat.declared_fds, universe)
+    split = _unchecked(FdSet, fds=_split(flat.declared_fds), universe=universe)
     primes = set(flat.key_names())
     prioritized = [fd for fd in split if not fd.lhs <= primes]
     prioritized += [fd for fd in split if fd.lhs <= primes]
-    cover = minimal_cover(FdSet(tuple(prioritized), universe))
+    cover = minimal_cover(_unchecked(FdSet, fds=tuple(prioritized), universe=universe))
     schema_list = build_schema_list(flat, cover)
     classification = classify(schema_list)
     return PipelineState(

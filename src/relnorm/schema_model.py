@@ -16,7 +16,6 @@ whose final flags also satisfy the ordering.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -30,13 +29,28 @@ from .errors import (
     UnknownAttribute,
 )
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 # The node layout: four determiner slots of up to four ids each.
 MAX_DETERMINERS = 4
 MAX_LHS = 4
 MAX_NAME_LEN = 100
 MAX_ATTRIBUTES = 9000
+
+
+def _is_identifier(name: str) -> bool:
+    """The name grammar, ``[A-Za-z_][A-Za-z0-9_]*``; the length cap is
+    checked apart, so that each fault gets its own message."""
+    return name.isascii() and name.isidentifier()
+
+
+def _unchecked(cls, **fields):
+    """The dataclass ``cls`` holding ``fields``, built without
+    ``__post_init__``, for a value whose checks have been made."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        # as a frozen dataclass's __init__ sets them, so the instance keeps
+        # the compact layout that __init__ gives it
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,31 +127,32 @@ class SchemaList:
         before an earlier entry class, and for an empty, malformed or
         over-long name.
         """
-        if len(self.nodes) >= MAX_ATTRIBUTES:
+        nodes = self.nodes
+        if len(nodes) >= MAX_ATTRIBUTES:
             raise CapacityExceeded(
                 f"relation {self.relation_name!r} already holds {MAX_ATTRIBUTES} attributes"
             )
-        if self.find_node(name) is not None:
+        if name in self._by_name:
             raise DuplicateAttribute(f"attribute {name!r} already present in {self.relation_name!r}")
-        if self.nodes:
-            last = self.nodes[-1]
+        if nodes:
+            last = nodes[-1]
             if _entry_rank(is_key, is_det) < _entry_rank(last.is_key_attribute, last.is_determiner):
                 raise EntryOrderViolation(
                     f"cannot append {name!r}: key attributes, then non-key determiners, "
                     "then remaining attributes"
                 )
-        if not name or not _IDENTIFIER.match(name):
+        if not name or not _is_identifier(name):
             raise InvalidName(f"not a valid attribute name: {name!r}")
         if len(name) > MAX_NAME_LEN:
             raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
         node = AttributeNode(
             attribute_name=name,
             is_determiner=is_det,
-            node_id=len(self.nodes) + 1,
+            node_id=len(nodes) + 1,
             determiner_slots=[],
             is_key_attribute=is_key,
         )
-        self.nodes.append(node)
+        nodes.append(node)
         self._by_name[name] = node
         return node.node_id
 
@@ -148,7 +163,8 @@ class SchemaList:
         determiner for one attribute is rejected, as is a left-hand side
         wider than ``MAX_LHS``.
         """
-        target = self.find_node(fd.rhs)
+        by_name = self._by_name
+        target = by_name.get(fd.rhs)
         if target is None:
             raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
         if len(fd.lhs) > MAX_LHS:
@@ -158,7 +174,7 @@ class SchemaList:
             )
         determiners = []
         for name in fd.lhs:
-            node = self.find_node(name)
+            node = by_name.get(name)
             if node is None:
                 raise UnknownAttribute(f"determiner attribute {name!r} not in relation")
             determiners.append(node)

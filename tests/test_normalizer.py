@@ -1,11 +1,22 @@
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
 from oracles import fixpoint_2nf
 from relnorm.ddl import emit_ddl
-from relnorm.errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
-from relnorm.fd_engine import FdSet, RawFd
+from relnorm.errors import (
+    DeterminerSlotsExhausted,
+    DuplicateAttribute,
+    InvalidFd,
+    InvalidName,
+    LhsTooLarge,
+    NoKeyDeclared,
+    NormalizationError,
+    UnknownAttribute,
+)
+from relnorm.fd_engine import FdSet, RawFd, minimal_cover, split_rhs
 from relnorm.normalizer import (
     Classification,
     DependencyGroup,
@@ -413,6 +424,108 @@ class TestNormalize:
             ("a_b_2", ["a_b", "d"], ["a_b"], []),
         ]
         assert "FOREIGN KEY (a_b) REFERENCES a_b_2 (a_b)" in emit_ddl(tables).text
+
+
+def relation_of(*names, fds=()):
+    """Relation R keyed on k, plus atomic ``names`` and ``(lhs, rhs)`` strings."""
+    attributes = (RawAttribute("k", is_key=True), *(RawAttribute(n) for n in names))
+    return RawSchema("R", attributes, tuple(RawFd(tuple(lhs.split()), tuple(rhs.split())) for lhs, rhs in fds))
+
+
+class TestPrepareChecksValuesBuiltInCode:
+    """A relation built as ``RawSchema(...)`` skips the parser's checks;
+    ``prepare`` must still reject it, with the same error as ever."""
+
+    @pytest.mark.parametrize(
+        "raw, error, message",
+        [
+            (relation_of("a-b"), InvalidName, "not a valid attribute name: 'a-b'"),
+            (relation_of("café"), InvalidName, "not a valid attribute name: 'café'"),
+            (
+                relation_of("a" * 101),
+                InvalidName,
+                f"attribute name longer than 100 characters: {'a' * 20!r}...",
+            ),
+            (
+                RawSchema("R", (RawAttribute("k", True), RawAttribute("m" * 98, kind=RawKind.MULTIVALUED))),
+                InvalidName,
+                f"attribute name longer than 100 characters: {'m' * 20!r}...",
+            ),
+            (
+                RawSchema(
+                    "R",
+                    (RawAttribute("k", True), RawAttribute("phone", kind=RawKind.MULTIVALUED), RawAttribute("phone_ID")),
+                ),
+                DuplicateAttribute,
+                "duplicate attribute names in 'R': ['phone_ID']",
+            ),
+            (
+                relation_of(*"abcdef", fds=[("a b c d e", "f")]),
+                LhsTooLarge,
+                "relation 'R': dependency a, b, c, d, e -> f: left-hand side of size 5 exceeds MAX_LHS = 4",
+            ),
+            (
+                relation_of(*"abcdef", fds=[(n, "f") for n in "abcde"]),
+                DeterminerSlotsExhausted,
+                "relation 'R': attribute 'f' already has 4 determiners",
+            ),
+            (
+                RawSchema("R", (RawAttribute("k", True), RawAttribute("a")), (RawFd((), ("a",)),)),
+                InvalidFd,
+                "left-hand side must not be empty",
+            ),
+        ],
+        ids=["invalid-name", "non-ascii-name", "long-name", "long-flattened-name", "repeated-flattened-name",
+             "five-name-lhs", "fifth-determiner", "empty-lhs"],
+    )
+    def test_rejected_in_prepare(self, raw, error, message):
+        with pytest.raises(error) as caught:
+            prepare(raw)
+        assert str(caught.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stages_equal_the_public_checking_builders(self, data):
+        raw = data.draw(raw_relations())
+        flat = to_first_normal_form(raw)
+        universe = flat.attribute_names()
+        split = split_rhs(flat.declared_fds, universe)
+        keys = set(flat.key_names())
+        ordered = [fd for fd in split if not fd.lhs <= keys] + [fd for fd in split if fd.lhs <= keys]
+        cover = minimal_cover(FdSet(tuple(ordered), universe))
+        try:
+            state = prepare(raw)
+        except NormalizationError as exc:
+            # past the cover, only the node sequence can reject
+            event("rejected")
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                build_schema_list(flat, cover)
+            return
+        event("flat as declared" if flat is raw else "flattened")
+        assert (state.flat, state.split, state.cover) == (flat, split, cover)
+        assert state.schema_list == build_schema_list(flat, cover)
+
+
+@st.composite
+def raw_relations(draw):
+    """A declared relation of every attribute kind, its dependencies free to
+    repeat a name on one side, to name the same attribute on both, and to
+    leave the right-hand side empty."""
+    attributes = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(RawKind))
+        width = draw(st.integers(min_value=1, max_value=2)) if kind is RawKind.COMPOSITE else 0
+        components = tuple(f"a{i}_{j}" for j in range(width))
+        attributes.append(RawAttribute(f"a{i}", i == 0 or draw(st.booleans()), kind, components))
+    if draw(st.booleans()):  # most relations stay atomic
+        attributes = [RawAttribute(a.name, a.is_key) for a in attributes]
+    declared = [name for a in attributes for name in (a.name, *a.components)]
+    side = st.lists(st.sampled_from(declared), max_size=3)
+    fds = [
+        RawFd(tuple(draw(side.filter(bool))), tuple(draw(side)))
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    return RawSchema("R", tuple(attributes), tuple(fds))
 
 
 class TestCorpusInvariants:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ from hypothesis import event, given, settings
 from relnorm import corpus
 from relnorm.errors import (
     DuplicateAttribute,
+    InvalidName,
     NoKeyDeclared,
     SchemaSyntaxError,
     UnknownAttribute,
@@ -14,7 +16,7 @@ from relnorm.errors import (
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import RawAttribute, RawKind, RawSchema, to_first_normal_form
 from relnorm.schema_file import parse_schema_file
-from relnorm.schema_model import MAX_NAME_LEN
+from relnorm.schema_model import MAX_NAME_LEN, SchemaList
 
 EMPLOYEE_DOC = """\
 # employees with job classes
@@ -174,11 +176,104 @@ class TestParse:
         schema = parse_schema_file(doc)
         assert schema.declared_fds == (RawFd(("first",), ("last",)),)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("# c", 1), ("# c\n", 1), ("# c\n\n", 2), ("# c\n\n# d", 3), ("# c\r\n\r# d\r", 3)],
+        ids=["empty", "one-line", "one-line-ended", "blank-line", "three-lines", "carriage-returns"],
+    )
+    def test_no_relation_names_the_last_line(self, text, line):
+        with pytest.raises(SchemaSyntaxError) as caught:
+            parse_schema_file(text)
+        assert (caught.value.line, caught.value.message) == (line, "no relation declared")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_newline_and_carriage_return(self, newline):
+        doc = newline.join(["relation R", "attr a key\x85", "fd a -> q", ""])
+        with pytest.raises(UnknownAttribute, match=r"^line 3: undeclared attribute 'q'$"):
+            parse_schema_file(doc)
+
+    @pytest.mark.parametrize(
+        "separator",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
+    )
+    def test_other_line_separators_are_whitespace(self, separator):
+        with pytest.raises(SchemaSyntaxError) as caught:
+            parse_schema_file(f"relation R\nattr a key{separator}attr b\n")
+        assert (caught.value.line, caught.value.message) == (2, "unknown attribute flag 'attr'")
+        schema = parse_schema_file(f"relation R\nattr{separator}a{separator}key\nattr b{separator}\n")
+        assert schema.attribute_names() == ("a", "b") and schema.key_names() == ("a",)
+
     def test_tabs_separate_directives_like_spaces(self):
         tabbed = EMPLOYEE_DOC.replace("relation ", "relation\t").replace("fd ", "fd\t")
         tabbed = tabbed.replace("attr ", "attr\t \t")
         assert "relation\tEmployee" in tabbed and "fd\te_id" in tabbed and "attr\t \te_id" in tabbed
         assert parse_schema_file(tabbed) == parse_schema_file(EMPLOYEE_DOC)
+
+
+# the name grammar, kept here as the oracle whatever test the parser makes
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def in_grammar(name: str) -> bool:
+    return NAME.fullmatch(name) is not None and len(name) <= MAX_NAME_LEN
+
+
+names = st.one_of(
+    st.from_regex(NAME, fullmatch=True),
+    st.text(st.one_of(st.sampled_from("aZ_09-#,()\t\n é\uff41\x85"), st.characters()), max_size=6),
+    st.sampled_from(["café", "\uff41", "a\uff41", "1abc", "9", "a\n", "_\n", "é"]),
+).flatmap(
+    # lengths either side of the cap, on the same stems
+    lambda stem: st.sampled_from([stem, stem + "x" * (MAX_NAME_LEN - len(stem)), stem + "x" * (MAX_NAME_LEN + 1)])
+)
+
+
+def parser_checks(template: str, name: str) -> bool:
+    """False iff the parser rejects ``template`` with ``name`` filled in as
+    a syntax error; the dependency templates name an undeclared attribute
+    whenever ``name`` is in the grammar, which is found after the grammar."""
+    try:
+        parse_schema_file(template.format(name=name))
+    except SchemaSyntaxError:
+        return False
+    except UnknownAttribute:
+        pass
+    return True
+
+
+class TestNameGrammar:
+    TEMPLATES = {
+        "relation": "relation {name}\nattr k key\n",
+        "attribute": "relation R\nattr {name} key\n",
+        "component": "relation R\nattr c composite({name}) key\n",
+        "fd-left": "relation R\nattr k key\nfd {name} -> k\n",
+        "fd-right": "relation R\nattr k key\nfd k -> {name}\n",
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(names)
+    def test_parser_accepts_exactly_the_grammar(self, name):
+        # only a name that reads as one token can be written in a file: an
+        # empty one, whitespace, line breaks, '#', ',', parentheses and '->'
+        # would change how the line splits, not which name it holds
+        if not name or any(c.isspace() or c in "#,()" for c in name) or "->" in name or name in ("c", "k"):
+            return
+        event("in grammar" if in_grammar(name) else "outside grammar")
+        for place, template in self.TEMPLATES.items():
+            assert parser_checks(template, name) == in_grammar(name), place
+
+    @settings(max_examples=400, deadline=None)
+    @given(names)
+    def test_add_attribute_accepts_exactly_the_grammar(self, name):
+        event("in grammar" if in_grammar(name) else "outside grammar")
+        schema_list = SchemaList("R")
+        try:
+            schema_list.add_attribute(name)
+        except InvalidName:
+            assert not in_grammar(name)
+        else:
+            assert in_grammar(name)
 
 
 # a small pool, so that names, components and ``<name>_ID`` renames collide
