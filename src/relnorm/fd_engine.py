@@ -6,18 +6,20 @@ order; every derived ordering here is stable with respect to that order,
 so results are deterministic for a given input.
 
 Every attribute-set closure in the package runs on one kernel,
-:class:`_Kernel`, the counter-based closure of Beeri and Bernstein.  Each
-``FdSet`` builds one on first use and keeps it, read-only, for
-:func:`closure`, :func:`implies` and the decomposition oracles;
-:func:`minimal_cover` builds its own and edits it in place between the
-thousands of closures a cover can need.
+:class:`_Kernel`, the counter-based closure of Beeri and Bernstein.
+:func:`minimal_cover` builds one from its input and edits it in place
+between the thousands of closures a cover can need, then hands it to the
+cover it returns, so one run of the pipeline builds one kernel.  Any other
+``FdSet`` builds its own on first use.  Either way the set keeps it,
+read-only, for :func:`closure`, :func:`implies` and the decomposition
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .errors import DuplicateAttribute, UnknownAttribute
 from .schema_model import FunctionalDependency, _unchecked
@@ -43,13 +45,13 @@ class FdSet:
     from checked ones (:func:`minimal_cover`'s result, ``prepare``'s split
     and its reordered copy) is built without it.
 
-    The set is immutable, so it keeps two read-only views of itself, each
-    built on first use in time linear in the universe plus the
-    dependencies and then shared by every later :func:`closure`,
-    :func:`implies` and oracle call in :mod:`relnorm.verifier`: the
-    producers of each right-hand attribute (``_by_rhs``) and a closure
-    kernel (``_kernel``).  Neither is a field: equality, hashing and
-    ``repr`` never see them.
+    The set is immutable, so it keeps one read-only view of itself, a
+    closure kernel (``_kernel``), shared by every :func:`closure`,
+    :func:`implies` and oracle call in :mod:`relnorm.verifier`.  A cover
+    from :func:`minimal_cover` carries the kernel that computed it; any
+    other set builds one on first use, in time linear in the universe plus
+    the dependencies.  The kernel is not a field: equality, hashing and
+    ``repr`` never see it.
     """
 
     fds: tuple[FunctionalDependency, ...]
@@ -77,18 +79,9 @@ class FdSet:
         return len(self.fds)
 
     @cached_property
-    def _by_rhs(self) -> dict[str, tuple[int, ...]]:
-        """Right-hand attribute -> the positions of the dependencies that
-        produce it, in cover order."""
-        out: dict[str, tuple[int, ...]] = {}
-        for i, fd in enumerate(self.fds):
-            out[fd.rhs] = out.get(fd.rhs, ()) + (i,)
-        return out
-
-    @cached_property
     def _kernel(self) -> _Kernel:
-        """A closure kernel over the cover.  Only its walks run: its pairs
-        are never edited."""
+        """A closure kernel over the set, its live pairs in set order.  Only
+        its walks run: its pairs are never edited."""
         return _Kernel(self)
 
 
@@ -122,31 +115,51 @@ class _Kernel:
     """The closure kernel: a counter-based closure over dependencies
     (Beeri & Bernstein, TODS 1979).
 
-    The index is built once: for each attribute of the universe, the pairs
-    (dependencies) whose left-hand side holds it, and how many live pairs
-    produce it.  A closure walks the attributes it reaches, counting down
-    a per-pair missing count (kept only for the pairs it touches) and
-    firing a pair when its count reaches zero, so one closure costs time
-    linear in the pairs it touches.  Asked about a goal attribute, it stops
-    on reaching it, and answers at once when no live pair produces it.  A
-    walk only reads the index.  Callers may edit the pairs between
-    closures with :meth:`drop_lhs_attr` and :meth:`set_live`; the index
-    follows every edit.
+    The index is built once: for each attribute of the universe, how many
+    live pairs (dependencies) produce it (``producers``); for each
+    attribute on some left-hand side, the pairs whose left-hand side holds
+    it (``users``); and for each attribute some pair produces, those
+    pairs, dead or live, as a chain that starts at the last of them
+    (``last_maker``) and steps to each pair's previous pair with the same
+    right-hand side (``prior_maker``, -1 after the first), so that no
+    attribute needs a list of its own.
+
+    A closure walks the attributes it reaches, counting down a per-pair
+    missing count (kept only for the pairs it touches) and firing a pair
+    when its count reaches zero, so one closure costs time linear in the
+    pairs it touches.  Asked about a goal attribute, it stops on reaching
+    it, and answers at once when no live pair produces it.  A walk only
+    reads the index.  Callers may edit the pairs between closures with
+    :meth:`drop_lhs_attr` and :meth:`set_live`; ``users`` and
+    ``producers`` follow every edit.
     """
 
     def __init__(self, fds: FdSet) -> None:
-        users: dict[str, list[int]] = {name: [] for name in fds.universe}
+        lhs_of: list[frozenset[str]] = []
+        rhs_of: list[str] = []
+        users: dict[str, list[int]] = {}
         producers = dict.fromkeys(fds.universe, 0)
+        last_maker: dict[str, int] = {}
+        prior_maker: list[int] = []
         for i, fd in enumerate(fds):
-            for name in fd.lhs:
-                users[name].append(i)
-            producers[fd.rhs] += 1
+            lhs, rhs = fd.lhs, fd.rhs
+            lhs_of.append(lhs)
+            rhs_of.append(rhs)
+            for name in lhs:
+                heads = users.get(name)
+                if heads is None:
+                    users[name] = [i]
+                else:
+                    heads.append(i)
+            producers[rhs] += 1
+            prior_maker.append(last_maker.get(rhs, -1))
+            last_maker[rhs] = i
         # pair i is the i-th dependency, as (lhs[i], rhs[i])
-        self.lhs = [fd.lhs for fd in fds]
-        self.rhs = [fd.rhs for fd in fds]
+        self.lhs, self.rhs = lhs_of, rhs_of
         self.users, self.producers = users, producers
-        self.width = [len(lhs) for lhs in self.lhs]
-        self.live = [True] * len(self.rhs)
+        self.last_maker, self.prior_maker = last_maker, prior_maker
+        self.width = [len(lhs) for lhs in lhs_of]
+        self.live = [True] * len(rhs_of)
 
     def drop_lhs_attr(self, i: int, name: str) -> None:
         """Remove ``name`` from the left-hand side of pair ``i``."""
@@ -164,27 +177,25 @@ class _Kernel:
         self,
         seed: AbstractSet[str],
         goal: str | None = None,
-        live: Sequence[bool] | None = None,
+        admit: Callable[[int], bool] | None = None,
     ) -> AbstractSet[str]:
         """Closure of ``seed`` under the live pairs.
 
         With a ``goal``, the walk stops as soon as the goal is reached, and
         returns ``seed`` itself when no live pair produces the goal; the
-        result then decides only whether the goal is in the closure.  A
-        ``live`` mask, one flag per pair, replaces the kernel's own for this
-        walk alone; it may only narrow the live pairs, since the goal test
-        counts the kernel's.
+        result then decides only whether the goal is in the closure.  With
+        ``admit``, a live pair fires only if ``admit(i)`` holds; it is asked
+        once for each pair that would add a name not yet reached, never for
+        the others, so it costs only the pairs the walk fires.
         """
         if goal is not None and (goal in seed or not self.producers[goal]):
             return seed
-        rhs, width, users = self.rhs, self.width, self.users
-        if live is None:
-            live = self.live
+        rhs, width, users, live = self.rhs, self.width, self.users, self.live
         reach = set(seed)
         missing: dict[int, int] = {}
         stack = list(reach)
         for name in stack:
-            for i in users[name]:
+            for i in users.get(name, ()):
                 if not live[i]:
                     continue
                 left = width[i]
@@ -193,7 +204,7 @@ class _Kernel:
                     if left:
                         continue
                 gained = rhs[i]
-                if gained not in reach:
+                if gained not in reach and (admit is None or admit(i)):
                     reach.add(gained)
                     if gained == goal:
                         return reach
@@ -208,7 +219,7 @@ def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
     left-hand side lies inside S also has its right-hand attribute in S.
     """
     start = set(attrs)
-    missing = start.difference(fds._kernel.users)
+    missing = start.difference(fds._kernel.producers)
     if missing:
         raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
     return frozenset(fds._kernel.close(start))
@@ -216,7 +227,7 @@ def closure(attrs: Iterable[str], fds: FdSet) -> frozenset[str]:
 
 def implies(fds: FdSet, candidate: FunctionalDependency) -> bool:
     """True iff ``candidate`` follows from ``fds``."""
-    missing = (candidate.lhs | {candidate.rhs}).difference(fds._kernel.users)
+    missing = (candidate.lhs | {candidate.rhs}).difference(fds._kernel.producers)
     if missing:
         raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
     return candidate.rhs in fds._kernel.close(candidate.lhs, candidate.rhs)
@@ -230,10 +241,13 @@ def minimal_cover(fds: FdSet) -> FdSet:
     Left-reduction scans dependencies in input order and candidate
     attributes in declared-universe order; redundancy elimination then
     scans in input order, testing each dependency against the current
-    surviving set.  Survivors keep their input order.
+    surviving set.  Survivors keep their input order.  The cover carries
+    the kernel that computed it: dropped dependencies stay in it as dead
+    pairs, and survivors keep their reduced left-hand sides.
     """
     position = {name: i for i, name in enumerate(fds.universe)}
-    # its own kernel, edited below; the cover's cached one stays untouched
+    # a kernel of its own, edited below and then handed to the cover;
+    # the input's cached one stays untouched
     kernel = _Kernel(fds)
     lhs_of, rhs_of = kernel.lhs, kernel.rhs
 
@@ -262,7 +276,8 @@ def minimal_cover(fds: FdSet) -> FdSet:
         if rhs_of[i] not in kernel.close(lhs_of[i], rhs_of[i]):
             kernel.set_live(i, True)
 
-    # survivors are distinct and inside the universe, as ``fds`` is
+    # survivors are distinct and inside the universe, as ``fds`` is; the
+    # cover keeps the kernel, whose live pairs are its dependencies in order
     return _unchecked(
         FdSet,
         fds=tuple(
@@ -271,4 +286,5 @@ def minimal_cover(fds: FdSet) -> FdSet:
             if kernel.live[i]
         ),
         universe=fds.universe,
+        _kernel=kernel,
     )

@@ -66,10 +66,6 @@ class FunctionalDependency:
         if self.rhs in self.lhs:
             raise InvalidFd(f"trivial dependency: {self.rhs!r} appears on both sides")
 
-    @classmethod
-    def of(cls, lhs, rhs: str) -> "FunctionalDependency":
-        return cls(frozenset(lhs), rhs)
-
     def __repr__(self) -> str:
         left = ", ".join(sorted(self.lhs))
         return f"{{{left}}} -> {self.rhs}"
@@ -115,9 +111,6 @@ class SchemaList:
     _by_name: dict[str, AttributeNode] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def find_node(self, name: str) -> AttributeNode | None:
-        return self._by_name.get(name)
 
     def add_attribute(self, name: str, *, is_key: bool = False, is_det: bool = False) -> int:
         """Append one attribute at the tail and return its node id.
@@ -189,44 +182,3 @@ class SchemaList:
         target.determiner_slots.append(slot)
         for node in determiners:
             node.is_determiner = True
-
-    def stored_fds(self) -> list[FunctionalDependency]:
-        """Reconstruct the dependencies held in the slots, in storage order."""
-        by_id = {node.node_id: node.attribute_name for node in self.nodes}
-        out: list[FunctionalDependency] = []
-        for node in self.nodes:
-            for slot in node.determiner_slots:
-                out.append(
-                    FunctionalDependency(frozenset(by_id[i] for i in slot), node.attribute_name)
-                )
-        return out
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError if any structural invariant is broken.
-
-        The entry order is checked against the final determiner flags;
-        lists whose determiner flags were declared accurately at entry
-        (the loader's lists) satisfy it.
-        """
-        names = [n.attribute_name for n in self.nodes]
-        assert len(names) == len(set(names)), "duplicate attribute names"
-        assert self._by_name == {n.attribute_name: n for n in self.nodes}, "stale name index"
-        ids = [n.node_id for n in self.nodes]
-        assert ids == list(range(1, len(ids) + 1)), "node ids not 1..n in entry order"
-        assert len(self.nodes) <= MAX_ATTRIBUTES
-        id_set = set(ids)
-        referenced: set[int] = set()
-        for node in self.nodes:
-            assert len(node.determiner_slots) <= MAX_DETERMINERS
-            assert len(set(node.determiner_slots)) == len(node.determiner_slots), "duplicate slots"
-            for slot in node.determiner_slots:
-                assert slot, "empty determiner slot"
-                assert len(slot) <= MAX_LHS
-                assert slot <= id_set, "slot references a missing node"
-                referenced |= slot
-        for node in self.nodes:
-            assert node.is_determiner == (node.node_id in referenced), (
-                f"determiner flag inconsistent for {node.attribute_name!r}"
-            )
-        ranks = [_entry_rank(n.is_key_attribute, n.is_determiner) for n in self.nodes]
-        assert all(a <= b for a, b in zip(ranks, ranks[1:])), "entry order violated"

@@ -21,29 +21,29 @@ embedded dependency is preserved without a closure.  Both tests are exact
 and polynomial; no heuristic projection is used, so the verdicts here are
 trustworthy for auditing the normalizer.
 
-Every oracle reads the cover through the two views the ``FdSet`` keeps
-of itself, each built at its first use and shared by every later call,
-both normal forms and every table: the dependencies per right-hand
-attribute (``_by_rhs``) and the closure kernel (``_kernel``, shared with
-:func:`~relnorm.fd_engine.closure`).  Each is built in time linear in the
-universe plus the cover; the chase builds its own rules on each call.
-With the views built, the costs are:
+Every oracle reads the cover through the closure kernel it keeps
+(``_kernel``, shared with :func:`~relnorm.fd_engine.closure`): a cover
+from :func:`~relnorm.fd_engine.minimal_cover` carries the kernel that
+computed it, and any other ``FdSet`` builds one at its first use, in time
+linear in the universe plus the dependencies.  The chase builds its own
+rules on each call.  With the kernel built, the costs are:
 
-- ``scan_violations``: the table's width plus the dependencies whose
-  right-hand side is a non-key attribute of the table, so scanning every
-  table of a decomposition is linear in the tables plus the cover;
+- ``scan_violations``: the table's width plus the kernel's pairs, dead or
+  live, whose right-hand side is a non-key attribute of the table, so
+  scanning every table of a decomposition is linear in the tables plus
+  the kernel's pairs;
 - ``preserves_dependencies``: the tables' widths, to build the host index
   :func:`~relnorm.normalizer._holders` (name -> its tables, as int bits),
   plus one bit AND per name of each dependency, embedded iff the AND is
   nonzero, at a machine word per 30 tables; a dependency no table embeds
   then takes rounds of one closure per table, and only such a dependency
-  builds the kernel and the tables' sets;
-- ``is_lossless``: the same index and ANDs, which mark the embedded
-  dependencies, plus one walk of the kernel from the first table, linear in
-  the dependencies it touches.  Only when the walk falls short does the
-  chase run: its rules (linear in the cover), the tableau (tables ×
-  universe) plus the rule firings, each a pass over the merged classes of
-  one column.
+  reads the kernel and builds the tables' sets;
+- ``is_lossless``: the same index, plus one walk of the kernel from the
+  first table, linear in the pairs it touches; each pair the walk would
+  fire is first tested for a table that embeds it, by the same ANDs.
+  Only when the walk falls short does the chase run: its rules (linear in
+  the cover), the tableau (tables × universe) plus the rule firings, each
+  a pass over the merged classes of one column.
 """
 
 from __future__ import annotations
@@ -145,8 +145,16 @@ def is_lossless(
             f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
         )
     if tables and len(known) == len(fds.universe):
-        reach = fds._kernel.close(tables[0].attributes, live=_embedded(fds, holders))
-        if len(reach) == len(known):
+        kernel = fds._kernel
+        lhs, rhs = kernel.lhs, kernel.rhs
+
+        def embedded(i: int) -> bool:
+            hosts = holders.get(rhs[i], 0)
+            for name in lhs[i]:
+                hosts &= holders.get(name, 0)
+            return hosts != 0
+
+        if len(kernel.close(tables[0].attributes, admit=embedded)) == len(known):
             return True
     return _chase(universe, fds, tables)
 
@@ -260,23 +268,28 @@ def scan_violations(
     key and touches a non-key attribute.
 
     Only the dependencies whose right-hand side is a non-key attribute of
-    the table are read, found through the cover's ``_by_rhs`` view;
-    violations come out in cover order.
+    the table are read, as the live pairs of the cover's kernel that
+    produce it; violations come out in cover order, which is the order of
+    the live pairs.
     """
     if mode not in ("2nf", "3nf"):
         raise ValueError(f"mode must be '2nf' or '3nf', got {mode!r}")
     pk = set(table.primary_key)
     attrs = set(table.attributes)
     transitive = mode == "3nf"
-    producers, cover = fds._by_rhs, fds.fds
+    kernel = fds._kernel
+    lhs_of, live, prior = kernel.lhs, kernel.live, kernel.prior_maker
     hits = []
     for name in attrs - pk:
-        for i in producers.get(name, ()):
-            fd = cover[i]
-            if fd.lhs < pk:
-                hits.append((i, ViolationKind.PARTIAL, fd))
-            # inside the table and not inside the key, X touches a non-key attribute
-            elif transitive and fd.lhs <= attrs and not fd.lhs <= pk:
-                hits.append((i, ViolationKind.TRANSITIVE, fd))
+        i = kernel.last_maker.get(name, -1)
+        while i >= 0:
+            lhs = lhs_of[i]
+            if live[i]:
+                if lhs < pk:
+                    hits.append((i, ViolationKind.PARTIAL, name, lhs))
+                # inside the table and not inside the key, X touches a non-key attribute
+                elif transitive and lhs <= attrs and not lhs <= pk:
+                    hits.append((i, ViolationKind.TRANSITIVE, name, lhs))
+            i = prior[i]
     hits.sort(key=itemgetter(0))
-    return [Violation(table.name, kind, fd.rhs, fd.lhs) for _, kind, fd in hits]
+    return [Violation(table.name, kind, name, lhs) for _, kind, name, lhs in hits]

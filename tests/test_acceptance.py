@@ -28,10 +28,8 @@ from relnorm.baseline import bench
 from relnorm.cli import run
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
-from relnorm.schema_model import FunctionalDependency
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
-
-FD = FunctionalDependency.of
+from schema_helpers import FD
 
 
 @contextmanager

@@ -7,10 +7,9 @@ from relnorm import fd_engine
 from relnorm.errors import DuplicateAttribute, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd, closure, implies, minimal_cover, split_rhs
 from relnorm.normalizer import TableStructure
-from relnorm.schema_model import FunctionalDependency
-from relnorm.verifier import is_lossless, preserves_dependencies
+from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
+from schema_helpers import FD
 
-FD = FunctionalDependency.of
 
 BEER_UNIVERSE = ("beer", "brewery", "strength", "city", "region", "warehouse", "quantity")
 BEER_FDS = FdSet(
@@ -169,11 +168,12 @@ class TestSharedKernel:
         kernel = fds._kernel
         users = {name: list(pairs) for name, pairs in kernel.users.items()}
         producers = dict(kernel.producers)
+        makers = (dict(kernel.last_maker), list(kernel.prior_maker))
         live = list(kernel.live)
         tables = [TableStructure("t1", ["a", "b"], ["a"]), TableStructure("t2", ["a", "c"], ["a"])]
         abd, bc = TableStructure("t3", list("abd"), ["a"]), TableStructure("t4", list("bc"), ["b"])
         assert not preserves_dependencies(fds, tables)
-        # is_lossless walks from the first table under a mask of the pairs
+        # is_lossless walks from the first table, firing only the pairs
         # some table embeds: a -> b alone for the first two lists, so the
         # chase decides them; both pairs for the third, so the walk does
         assert not is_lossless(fds.universe, fds, tables)
@@ -183,8 +183,11 @@ class TestSharedKernel:
         assert closure({"a", "d"}, fds) == {"a", "b", "c", "d"}
         assert not implies(fds, FD("c", "a"))
         assert not implies(fds, FD("a", "d"))
+        abc = TableStructure("t5", list("abc"), ["a"])
+        assert [(v.dependent, v.determiner) for v in scan_violations(abc, fds)] == [("c", {"b"})]
         assert fds._kernel is kernel
         assert kernel.users == users and kernel.producers == producers and kernel.live == live
+        assert (kernel.last_maker, kernel.prior_maker) == makers
 
     def test_one_kernel_for_many_calls(self, monkeypatch):
         built = []
@@ -204,5 +207,9 @@ class TestSharedKernel:
 
     def test_minimal_cover_builds_no_cached_kernel(self):
         fds = FdSet(TRACE_FDS.fds + (FD("ab", "f"),), TRACE_UNIVERSE)
-        assert len(minimal_cover(fds)) == len(TRACE_FDS)
+        cover = minimal_cover(fds)
+        assert len(cover) == len(TRACE_FDS)
         assert "_kernel" not in vars(fds)
+        # the cover carries the kernel that computed it, ab -> f dead in it
+        assert "_kernel" in vars(cover)
+        assert cover._kernel.live == [True] * len(TRACE_FDS) + [False]

@@ -22,6 +22,7 @@ from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency, SchemaList
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
+from schema_helpers import stored_fds
 
 UNIVERSE = tuple("abcdef")
 
@@ -145,10 +146,10 @@ def test_schema_list_round_trips_a_cover(fds):
         sl.add_attribute(name, is_det=name in determiners)
     for fd in cover:
         sl.add_fd(fd)
-    got = {(fd.lhs, fd.rhs) for fd in sl.stored_fds()}
+    got = {(fd.lhs, fd.rhs) for fd in stored_fds(sl)}
     expected = {(fd.lhs, fd.rhs) for fd in cover}
     assert got == expected
-    assert len(sl.stored_fds()) == len(cover)
+    assert len(stored_fds(sl)) == len(cover)
 
 
 @st.composite
@@ -268,6 +269,34 @@ def keyed_tables(draw, universe):
         key += draw(st.lists(st.sampled_from(universe), max_size=1))
         tables.append(TableStructure(f"t{i}", attributes, key))
     return tables
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_oracles_read_the_kernel_a_cover_carries(data):
+    # minimal_cover hands its kernel to the cover, dead pairs and reduced
+    # left-hand sides included; every oracle must answer on it as on a
+    # fresh kernel of the same dependencies, and as the references do
+    fds = data.draw(st.one_of(fd_sets(), wide_fd_sets()))
+    cover = minimal_cover(fds)
+    kernel = vars(cover)["_kernel"]
+    fresh = FdSet(cover.fds, cover.universe)
+    event(f"dead pairs: {not all(kernel.live)}")
+    event(f"reduced left-hand sides: {any(lhs != fd.lhs for lhs, fd in zip(kernel.lhs, fds))}")
+    tables = data.draw(covering_tables(cover.universe, high=5))
+    attributes = [t.attributes for t in tables]
+    lossless = is_lossless(cover.universe, cover, tables)
+    assert lossless == brute_lossless(cover, attributes) == is_lossless(cover.universe, fresh, tables)
+    preserved = preserves_dependencies(cover, tables)
+    assert preserved == brute_preserves(cover, attributes) == preserves_dependencies(fresh, tables)
+    keyed = data.draw(keyed_tables(cover.universe))
+    for mode in ("2nf", "3nf"):
+        for table in keyed:
+            got = scan_violations(table, cover, mode)
+            assert got == scan_violations(table, fresh, mode)
+            expected = full_scan_violations(table.attributes, table.primary_key, cover, mode)
+            assert [(v.kind.value, v.dependent, v.determiner) for v in got] == expected
+    assert cover._kernel is kernel
 
 
 @settings(max_examples=300)

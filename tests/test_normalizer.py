@@ -31,6 +31,7 @@ from relnorm.normalizer import (
     to_first_normal_form,
 )
 from relnorm.schema_model import MAX_DETERMINERS, FunctionalDependency, SchemaList
+from schema_helpers import check_invariants
 
 
 def table_sets(tables):
@@ -602,4 +603,4 @@ class TestBuildSchemaList:
         schema_list = build_schema_list(flat, cover)
         assert [n.attribute_name for n in schema_list.nodes] == [a.name for a in expected]
         assert [n.node_id for n in schema_list.nodes] == list(range(1, len(expected) + 1))
-        schema_list.check_invariants()
+        check_invariants(schema_list)

@@ -11,12 +11,10 @@ from relnorm.errors import (
     UnknownAttribute,
 )
 from relnorm.schema_model import (
-    FunctionalDependency,
     MAX_ATTRIBUTES,
     SchemaList,
 )
-
-FD = FunctionalDependency.of
+from schema_helpers import FD, check_invariants, find_node, stored_fds
 
 
 def employee_list_in_source_order() -> SchemaList:
@@ -87,7 +85,7 @@ class TestAddAttribute:
             sl.add_attribute("no-dash")
         assert sl.add_attribute("y") == 3
         assert [n.node_id for n in sl.nodes] == [1, 2, 3]
-        sl.check_invariants()
+        check_invariants(sl)
 
     def test_nodes_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
@@ -140,7 +138,7 @@ class TestAddFd:
         sl.add_fd(FD("ABCD", "H"))
         sl.add_fd(FD("EF", "H"))
         sl.add_fd(FD("G", "H"))
-        h = sl.find_node("H")
+        h = find_node(sl, "H")
         assert h.determiner_slots == [
             frozenset({1, 2, 3, 4}),
             frozenset({5, 6}),
@@ -150,15 +148,15 @@ class TestAddFd:
     def test_employee_first_fd(self):
         sl = employee_list_in_source_order()
         sl.add_fd(FD(["e_id"], "e_s_name"))
-        assert sl.find_node("e_s_name").determiner_slots == [frozenset({1})]
+        assert find_node(sl, "e_s_name").determiner_slots == [frozenset({1})]
 
     def test_employee_all_fds(self):
         sl = employee_list_in_source_order()
         for rhs in ("e_s_name", "j_class", "CHPH"):
             sl.add_fd(FD(["e_id"], rhs))
         sl.add_fd(FD(["j_class"], "CHPH"))
-        assert sl.find_node("CHPH").determiner_slots == [frozenset({1}), frozenset({3})]
-        assert sl.find_node("j_class").is_determiner is True
+        assert find_node(sl, "CHPH").determiner_slots == [frozenset({1}), frozenset({3})]
+        assert find_node(sl, "j_class").is_determiner is True
 
     def test_fifth_determiner_rejected(self):
         sl = SchemaList("R")
@@ -174,7 +172,7 @@ class TestAddFd:
         sl = employee_list_in_source_order()
         sl.add_fd(FD(["e_id"], "e_s_name"))
         sl.add_fd(FD(["e_id"], "e_s_name"))
-        assert sl.find_node("e_s_name").determiner_slots == [frozenset({1})]
+        assert find_node(sl, "e_s_name").determiner_slots == [frozenset({1})]
 
     def test_wide_lhs_rejected(self):
         sl = SchemaList("R")
@@ -195,11 +193,11 @@ class TestAddFd:
 class TestFindNode:
     def test_finds_by_name(self):
         sl = employee_list_in_source_order()
-        node = sl.find_node("j_class")
+        node = find_node(sl, "j_class")
         assert node is not None and node.node_id == 3
 
     def test_absent_on_empty(self):
-        assert SchemaList("R").find_node("x") is None
+        assert find_node(SchemaList("R"), "x") is None
 
     def test_matches_positional_scan(self):
         sl = SchemaList("R")
@@ -207,7 +205,7 @@ class TestFindNode:
         for name in "uvwxyz":
             sl.add_attribute(name)
         for node in sl.nodes:
-            assert sl.find_node(node.attribute_name) is node
+            assert find_node(sl, node.attribute_name) is node
 
     def test_index_is_not_part_of_the_value(self):
         sl = SchemaList("R")
@@ -226,7 +224,7 @@ class TestFindNode:
         other.add_attribute("v")
         sl.nodes.append(other.nodes[1])
         with pytest.raises(AssertionError, match="name index"):
-            sl.check_invariants()
+            check_invariants(sl)
 
 
 class TestInvariants:
@@ -241,8 +239,8 @@ class TestInvariants:
         for fd in fds:
             sl.add_fd(fd)
             sl.add_fd(fd)  # dedup keeps the multiset equal
-        assert sorted(map(repr, sl.stored_fds())) == sorted(map(repr, fds))
-        sl.check_invariants()
+        assert sorted(map(repr, stored_fds(sl))) == sorted(map(repr, fds))
+        check_invariants(sl)
 
     def test_trivial_fd_rejected_by_type(self):
         with pytest.raises(InvalidFd):

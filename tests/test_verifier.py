@@ -3,19 +3,17 @@ from unittest.mock import patch
 
 import pytest
 
-from relnorm import verifier
+from relnorm import fd_engine, verifier
 from relnorm.errors import UnknownAttribute
 from relnorm.fd_engine import FdSet
 from relnorm.normalizer import TableStructure, decompose_2nf, decompose_3nf, prepare
-from relnorm.schema_model import FunctionalDependency
 from relnorm.verifier import (
     ViolationKind,
     is_lossless,
     preserves_dependencies,
     scan_violations,
 )
-
-FD = FunctionalDependency.of
+from schema_helpers import FD
 
 
 def table(name, attributes, primary_key):
@@ -154,7 +152,7 @@ class TestCoverIndex:
         cover = state.cover
         twin = FdSet(cover.fds, cover.universe)
         before = (hash(cover), repr(cover))
-        # every oracle, both normal forms: builds every view
+        # every oracle, both normal forms, reads the cover's kernel
         for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
             tables = decompose(state.classification)
             is_lossless(cover.universe, cover, tables)
@@ -167,9 +165,32 @@ class TestCoverIndex:
         with patch.object(verifier, "_chase", wraps=verifier._chase) as chase:
             assert not is_lossless(cover.universe, cover, [table(n, [n], [n]) for n in cover.universe])
         assert chase.call_count == 1
-        views = {"_by_rhs", "_kernel"}
+        views = {"_kernel"}
         assert views <= set(vars(cover))
         assert not views & set(vars(twin))
         assert cover == twin and hash(cover) == hash(twin)
         assert (hash(cover), repr(cover)) == before == (hash(twin), repr(twin))
         assert not views & {f.name for f in fields(FdSet)}
+
+    def test_one_kernel_per_run(self, corpus_schemas, trace_schema, employee_schema, monkeypatch):
+        # prepare, both decompositions and every oracle on each: the cover
+        # keeps minimal_cover's kernel, and no oracle builds another
+        built = []
+
+        class CountingKernel(fd_engine._Kernel):
+            def __init__(self, fds):
+                built.append(fds)
+                super().__init__(fds)
+
+        monkeypatch.setattr(fd_engine, "_Kernel", CountingKernel)
+        for raw in [*corpus_schemas.values(), trace_schema, employee_schema]:
+            built.clear()
+            state = prepare(raw)
+            universe = state.flat.attribute_names()
+            for mode, decompose in (("2nf", decompose_2nf), ("3nf", decompose_3nf)):
+                tables = decompose(state.classification)
+                is_lossless(universe, state.cover, tables)
+                preserves_dependencies(state.cover, tables)
+                for t in tables:
+                    scan_violations(t, state.cover, mode)
+            assert len(built) == 1, raw.relation_name
