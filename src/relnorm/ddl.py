@@ -9,8 +9,8 @@ byte-deterministic for a given input.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CyclicReference, DanglingForeignKey
 from .normalizer import TableStructure

@@ -17,9 +17,9 @@ oracles.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .errors import DuplicateAttribute, UnknownAttribute
 from .schema_model import FunctionalDependency, _unchecked
@@ -175,10 +175,10 @@ class _Kernel:
 
     def close(
         self,
-        seed: AbstractSet[str],
+        seed: Set[str],
         goal: str | None = None,
         admit: Callable[[int], bool] | None = None,
-    ) -> AbstractSet[str]:
+    ) -> Set[str]:
         """Closure of ``seed`` under the live pairs.
 
         With a ``goal``, the walk stops as soon as the goal is reached, and

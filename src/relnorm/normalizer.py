@@ -17,10 +17,10 @@ redundancy elimination, but produce no tables.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Sequence
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from .fd_engine import FdSet, RawFd, _split, minimal_cover

@@ -30,7 +30,7 @@ line where it can, and builds its value without repeating them.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttribute
 from .fd_engine import RawFd

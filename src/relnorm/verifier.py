@@ -49,10 +49,10 @@ rules on each call.  With the kernel built, the costs are:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import AbstractSet, Sequence
 
 from .errors import UnknownAttribute
 from .fd_engine import FdSet
@@ -72,7 +72,7 @@ class Violation:
     determiner: frozenset[str]
 
 
-def _index(tables: Sequence[TableStructure], known: AbstractSet[str]) -> dict[str, int]:
+def _index(tables: Sequence[TableStructure], known: Set[str]) -> dict[str, int]:
     """The host index of ``tables``, once each is checked to lie inside ``known``."""
     holders = _holders(tables)
     if not holders.keys() <= known:

@@ -1,0 +1,108 @@
+"""What a fresh interpreter loads: a command imports only the modules it
+runs, and the top level resolves the baseline exports on first access.
+
+Each test starts its own ``python -S`` process, since the test process has
+long since imported ``relnorm.baseline`` and ``relnorm.corpus``.  ``-S``
+keeps site-packages (and any ``.pth`` imports they bring) out of the count.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import relnorm
+from relnorm import corpus
+
+# runs `python -m relnorm <argv>` and prints its exit code and sys.modules
+# as the last line of its output
+RUN_AND_LIST_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("relnorm", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print()
+print(repr((code, sorted(sys.modules))))
+"""
+
+PIPELINE_MODULES = {
+    "relnorm",
+    "relnorm.cli",
+    "relnorm.ddl",
+    "relnorm.errors",
+    "relnorm.fd_engine",
+    "relnorm.normalizer",
+    "relnorm.schema_file",
+    "relnorm.schema_model",
+    "relnorm.verifier",
+}
+
+ONLY_ON_USE = {
+    "statistics",
+    "json",
+    "pathlib",
+    "typing",
+    "importlib.resources",
+    "relnorm.baseline",
+    "relnorm.corpus",
+}
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a new ``python -S`` process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(relnorm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("normalize", ["--nf", "3", "--ddl", "--verify"]), ("verify", [])], ids=["normalize", "verify"]
+)
+def test_command_loads_only_the_pipeline(command, flags):
+    path = str(corpus.corpus_path("GH_Relation"))
+    code, modules = ast.literal_eval(_fresh(RUN_AND_LIST_MODULES, command, path, *flags).splitlines()[-1])
+    assert code == 0
+    assert {m for m in modules if m.split(".")[0] == "relnorm"} == PIPELINE_MODULES
+    assert ONLY_ON_USE.isdisjoint(modules)
+
+
+def test_import_leaves_baseline_unloaded():
+    assert _fresh("import sys, relnorm; print('relnorm.baseline' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize(
+    "access",
+    [
+        "value = relnorm.memory_cells_single\n"
+        "print(value is relnorm.baseline.memory_cells_single)",
+        "from relnorm import memory_cells_double\n"
+        "print(memory_cells_double is relnorm.baseline.memory_cells_double)",
+        "from relnorm import *\n"
+        "print(memory_cells_single is relnorm.baseline.memory_cells_single"
+        " and memory_cells_double is relnorm.baseline.memory_cells_double)",
+    ],
+    ids=["attribute", "from-import", "star-import"],
+)
+def test_lazy_export_is_the_baseline_function(access):
+    # the access is the first thing to import relnorm.baseline
+    assert _fresh(f"import relnorm\n{access}") == "True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = "import relnorm\ntry:\n    relnorm.no_such_name\nexcept AttributeError as exc:\n    print(exc)"
+    assert _fresh(code) == "module 'relnorm' has no attribute 'no_such_name'\n"
+
+
+def test_dir_lists_every_export():
+    code = (
+        "import sys, relnorm\n"
+        "print(sorted(set(relnorm.__all__) - set(dir(relnorm))), 'relnorm.baseline' in sys.modules)"
+    )
+    assert _fresh(code) == "[] False\n"
