@@ -10,15 +10,16 @@ byte-deterministic for a given input.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-
 from .errors import CyclicReference, DanglingForeignKey
 from .normalizer import TableStructure
+from .schema_model import _Frozen, _setfield
 
 
-@dataclass(frozen=True)
-class DdlScript:
-    statements: tuple[str, ...]
+class DdlScript(_Frozen):
+    __slots__ = _fields = ("statements",)
+
+    def __init__(self, statements: tuple[str, ...]) -> None:
+        _setfield(self, "statements", statements)
 
     @property
     def text(self) -> str:

@@ -18,23 +18,23 @@ oracles.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DuplicateAttribute, UnknownAttribute
-from .schema_model import FunctionalDependency, _unchecked
+from .schema_model import FunctionalDependency, _Frozen, _setfield, _unchecked
 
 
-@dataclass(frozen=True)
-class RawFd:
+class RawFd(_Frozen):
     """A dependency as declared: possibly several right-hand attributes."""
 
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]) -> None:
+        _setfield(self, "lhs", lhs)
+        _setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class FdSet:
+class FdSet(_Frozen):
     """An ordered set of singleton-RHS dependencies over a fixed universe.
 
     Exact duplicates are dropped on construction, keeping the first
@@ -50,27 +50,28 @@ class FdSet:
     :func:`implies` and oracle call in :mod:`relnorm.verifier`.  A cover
     from :func:`minimal_cover` carries the kernel that computed it; any
     other set builds one on first use, in time linear in the universe plus
-    the dependencies.  The kernel is not a field: equality, hashing and
-    ``repr`` never see it.
+    the dependencies.  The kernel is not a field but the one entry of the
+    set's ``__dict__``: equality, hashing and ``repr`` never see it.
     """
 
-    fds: tuple[FunctionalDependency, ...]
-    universe: tuple[str, ...]
+    _fields = ("fds", "universe")
+    __slots__ = (*_fields, "__dict__")
 
-    def __post_init__(self) -> None:
-        known = set(self.universe)
-        if len(known) != len(self.universe):
+    def __init__(self, fds: tuple[FunctionalDependency, ...], universe: tuple[str, ...]) -> None:
+        known = set(universe)
+        if len(known) != len(universe):
             raise DuplicateAttribute("universe contains duplicate names")
         seen: set[FunctionalDependency] = set()
         unique: list[FunctionalDependency] = []
-        for fd in self.fds:
+        for fd in fds:
             if fd.rhs not in known or not fd.lhs <= known:
                 missing = (fd.lhs | {fd.rhs}) - known
                 raise UnknownAttribute(f"attributes outside universe: {sorted(missing)}")
             if fd not in seen:
                 seen.add(fd)
                 unique.append(fd)
-        object.__setattr__(self, "fds", tuple(unique))
+        _setfield(self, "fds", tuple(unique))
+        _setfield(self, "universe", universe)
 
     def __iter__(self) -> Iterator[FunctionalDependency]:
         return iter(self.fds)

@@ -18,13 +18,12 @@ redundancy elimination, but produce no tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from .fd_engine import FdSet, RawFd, _split, minimal_cover
-from .schema_model import SchemaList, _entry_rank, _unchecked
+from .schema_model import SchemaList, _entry_rank, _Frozen, _Record, _setfield, _unchecked
 
 
 class RawKind(Enum):
@@ -33,29 +32,36 @@ class RawKind(Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class RawAttribute:
-    name: str
-    is_key: bool = False
-    kind: RawKind = RawKind.ATOMIC
-    components: tuple[str, ...] = ()
+# the members as module names, for the per-attribute paths: on Python 3.11
+# reading RawKind.COMPOSITE takes about ten times as long as a module name
+_ATOMIC, _MULTIVALUED, _COMPOSITE = RawKind.ATOMIC, RawKind.MULTIVALUED, RawKind.COMPOSITE
 
-    def __post_init__(self) -> None:
-        if (self.kind is RawKind.COMPOSITE) != bool(self.components):
+
+class RawAttribute(_Frozen):
+    __slots__ = _fields = ("name", "is_key", "kind", "components")
+
+    def __init__(
+        self, name: str, is_key: bool = False, kind: RawKind = _ATOMIC, components: tuple[str, ...] = ()
+    ) -> None:
+        if (kind is _COMPOSITE) != bool(components):
             raise ValueError("components are required exactly for composite attributes")
+        _setfield(self, "name", name)
+        _setfield(self, "is_key", is_key)
+        _setfield(self, "kind", kind)
+        _setfield(self, "components", components)
 
     def flat_names(self) -> tuple[str, ...]:
         """The names 1NF flattening gives this attribute: a composite's
         components, ``<name>_ID`` for a multivalued one, else the name."""
-        if self.kind is RawKind.COMPOSITE:
+        kind = self.kind
+        if kind is _COMPOSITE:
             return self.components
-        if self.kind is RawKind.MULTIVALUED:
+        if kind is _MULTIVALUED:
             return (f"{self.name}_ID",)
         return (self.name,)
 
 
-@dataclass(frozen=True)
-class RawSchema:
+class RawSchema(_Frozen):
     """A relation as declared: attributes with kinds plus raw dependencies.
 
     Construction checks that attribute and component names, taken
@@ -64,14 +70,17 @@ class RawSchema:
     checks line by line and builds its value without repeating them.
     """
 
-    relation_name: str
-    attributes: tuple[RawAttribute, ...]
-    declared_fds: tuple[RawFd, ...] = ()
+    __slots__ = _fields = ("relation_name", "attributes", "declared_fds")
 
-    def __post_init__(self) -> None:
-        known = _distinct(self.relation_name, [name for a in self.attributes for name in (a.name, *a.components)])
+    def __init__(
+        self, relation_name: str, attributes: tuple[RawAttribute, ...], declared_fds: tuple[RawFd, ...] = ()
+    ) -> None:
+        _setfield(self, "relation_name", relation_name)
+        _setfield(self, "attributes", attributes)
+        _setfield(self, "declared_fds", declared_fds)
+        known = _distinct(relation_name, [name for a in attributes for name in (a.name, *a.components)])
         _require_key(self)
-        for fd in self.declared_fds:
+        for fd in declared_fds:
             for name in (*fd.lhs, *fd.rhs):
                 if name not in known:
                     raise UnknownAttribute(f"dependency mentions undeclared attribute {name!r}")
@@ -112,14 +121,14 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     is built without :class:`RawSchema`'s checks, which ``raw`` has passed
     and which flattening preserves, save the one for repeats.
     """
-    replacement = {a.name: a.flat_names() for a in raw.attributes if a.kind is not RawKind.ATOMIC}
+    replacement = {a.name: a.flat_names() for a in raw.attributes if a.kind is not _ATOMIC}
     if not replacement and all(
         len(set(fd.lhs)) == len(fd.lhs) and len(set(fd.rhs)) == len(fd.rhs) for fd in raw.declared_fds
     ):
         return raw
     flat: list[RawAttribute] = []
     for a in raw.attributes:
-        if a.kind is RawKind.ATOMIC:
+        if a.kind is _ATOMIC:
             flat.append(a)
         else:
             flat.extend(RawAttribute(name, a.is_key) for name in replacement[a.name])
@@ -135,16 +144,17 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     return _unchecked(RawSchema, relation_name=raw.relation_name, attributes=tuple(flat), declared_fds=rewritten)
 
 
-@dataclass(frozen=True)
-class DependencyGroup:
+class DependencyGroup(_Frozen):
     """One determiner with every dependent attribute it was stored for."""
 
-    determiner: tuple[str, ...]
-    dependents: tuple[str, ...]
+    __slots__ = _fields = ("determiner", "dependents")
+
+    def __init__(self, determiner: tuple[str, ...], dependents: tuple[str, ...]) -> None:
+        _setfield(self, "determiner", determiner)
+        _setfield(self, "dependents", dependents)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Frozen):
     """The full / partial / transitive buckets for one relation.
 
     ``a1`` lists the key attributes followed by every attribute that
@@ -153,27 +163,48 @@ class Classification:
     group per distinct determiner, in first-seen order.
     """
 
-    relation_name: str
-    a1: tuple[str, ...]
-    a2: tuple[DependencyGroup, ...]
-    a3: tuple[DependencyGroup, ...]
-    prime_attributes: tuple[str, ...]
+    __slots__ = _fields = ("relation_name", "a1", "a2", "a3", "prime_attributes")
+
+    def __init__(
+        self,
+        relation_name: str,
+        a1: tuple[str, ...],
+        a2: tuple[DependencyGroup, ...],
+        a3: tuple[DependencyGroup, ...],
+        prime_attributes: tuple[str, ...],
+    ) -> None:
+        _setfield(self, "relation_name", relation_name)
+        _setfield(self, "a1", a1)
+        _setfield(self, "a2", a2)
+        _setfield(self, "a3", a3)
+        _setfield(self, "prime_attributes", prime_attributes)
 
 
-@dataclass(frozen=True)
-class ForeignKey:
-    columns: tuple[str, ...]
-    references: str
+class ForeignKey(_Frozen):
+    __slots__ = _fields = ("columns", "references")
+
+    def __init__(self, columns: tuple[str, ...], references: str) -> None:
+        _setfield(self, "columns", columns)
+        _setfield(self, "references", references)
 
 
-@dataclass
-class TableStructure:
-    """A synthesized table: attribute list, primary key, foreign keys."""
+class TableStructure(_Record):
+    """A synthesized table: attribute list, primary key, foreign keys
+    (a new empty list when none is given)."""
 
-    name: str
-    attributes: list[str]
-    primary_key: list[str]
-    foreign_keys: list[ForeignKey] = field(default_factory=list)
+    __slots__ = _fields = ("name", "attributes", "primary_key", "foreign_keys")
+
+    def __init__(
+        self,
+        name: str,
+        attributes: list[str],
+        primary_key: list[str],
+        foreign_keys: list[ForeignKey] | None = None,
+    ) -> None:
+        self.name = name
+        self.attributes = attributes
+        self.primary_key = primary_key
+        self.foreign_keys = [] if foreign_keys is None else foreign_keys
 
 
 def bucket_determiners(
@@ -389,15 +420,20 @@ def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     return schema_list
 
 
-@dataclass(frozen=True)
-class PipelineState:
-    """Intermediate products of one normalization run."""
+class PipelineState(_Frozen):
+    """Intermediate products of one normalization run.  Hashing one
+    raises ``TypeError``: its node sequence is mutable."""
 
-    flat: RawSchema
-    split: FdSet
-    cover: FdSet
-    schema_list: SchemaList
-    classification: Classification
+    __slots__ = _fields = ("flat", "split", "cover", "schema_list", "classification")
+
+    def __init__(
+        self, flat: RawSchema, split: FdSet, cover: FdSet, schema_list: SchemaList, classification: Classification
+    ) -> None:
+        _setfield(self, "flat", flat)
+        _setfield(self, "split", split)
+        _setfield(self, "cover", cover)
+        _setfield(self, "schema_list", schema_list)
+        _setfield(self, "classification", classification)
 
 
 def prepare(raw: RawSchema) -> PipelineState:

@@ -34,10 +34,10 @@ from collections.abc import Sequence
 
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttribute
 from .fd_engine import RawFd
-from .normalizer import RawAttribute, RawKind, RawSchema, _require_key
+from .normalizer import _ATOMIC, _COMPOSITE, _MULTIVALUED, RawAttribute, RawSchema, _require_key
 from .schema_model import MAX_NAME_LEN, _is_identifier, _unchecked
 
-_COMPOSITE = re.compile(r"composite\(([^()]*)\)")
+_COMPONENTS = re.compile(r"composite\(([^()]*)\)")
 
 
 def _require_names(lineno: int, names: Sequence[str], what: str) -> None:
@@ -52,7 +52,7 @@ def _require_names(lineno: int, names: Sequence[str], what: str) -> None:
 
 def _parse_attr(lineno: int, rest: str) -> RawAttribute:
     components: tuple[str, ...] = ()
-    match = "composite(" in rest and _COMPOSITE.search(rest)
+    match = "composite(" in rest and _COMPONENTS.search(rest)
     if match:
         parts = [p.strip() for p in match.group(1).split(",")]
         if not any(parts):
@@ -77,11 +77,11 @@ def _parse_attr(lineno: int, rest: str) -> RawAttribute:
     if multivalued and components:
         raise SchemaSyntaxError(lineno, "an attribute cannot be both multivalued and composite")
     if components:
-        kind = RawKind.COMPOSITE
+        kind = _COMPOSITE
     elif multivalued:
-        kind = RawKind.MULTIVALUED
+        kind = _MULTIVALUED
     else:
-        kind = RawKind.ATOMIC
+        kind = _ATOMIC
     return RawAttribute(name, is_key, kind, components)
 
 

@@ -12,11 +12,14 @@ attributes that act as determiners, then everything else.  The order is
 checked against the flags declared at insertion time, so callers that know
 the dependencies up front (see ``normalizer.build_schema_list``) get a list
 whose final flags also satisfy the ordering.
+
+Every record of the pipeline, here and in the other modules, is a plain
+class with ``__slots__`` on the small base defined here, :class:`_Record`
+(mutable) or :class:`_Frozen`; :func:`_unchecked` builds one without the
+checks its ``__init__`` makes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import (
     CapacityExceeded,
@@ -42,37 +45,91 @@ def _is_identifier(name: str) -> bool:
     return name.isascii() and name.isidentifier()
 
 
+# how a frozen record's __init__ and _unchecked set a field past the
+# record's own __setattr__, read once rather than per field
+_setfield = object.__setattr__
+
+
 def _unchecked(cls, **fields):
-    """The dataclass ``cls`` holding ``fields``, built without
-    ``__post_init__``, for a value whose checks have been made."""
+    """The record ``cls`` holding ``fields``, built without the checks
+    its ``__init__`` makes, for a value whose checks have been made."""
     out = object.__new__(cls)
     for name, value in fields.items():
-        # as a frozen dataclass's __init__ sets them, so the instance keeps
-        # the compact layout that __init__ gives it
-        object.__setattr__(out, name, value)
+        _setfield(out, name, value)
     return out
 
 
-@dataclass(frozen=True)
-class FunctionalDependency:
+class _Record:
+    """A plain record: the base of the pipeline's value types.
+
+    A subclass lists its fields, in constructor order, in ``_fields`` and
+    stores them in ``__slots__``.  Two records are equal when they are of
+    the same type and their fields are equal, so a record equals no tuple
+    and no record of another type.  The repr is ``Type(field=value, ...)``
+    over ``_fields``; a slot outside ``_fields`` is not part of the value.
+    A plain record is mutable and unhashable; a :class:`_Frozen` one is
+    neither.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable record, hashed by its fields.  Its ``__init__`` sets
+    each field with ``_setfield``; afterwards assigning or deleting any
+    attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the record through its constructor, since
+        # they would otherwise assign its fields one by one
+        return type(self), self._values()
+
+
+class FunctionalDependency(_Frozen):
     """One dependency in singleton right-hand-side form: ``lhs -> rhs``."""
 
-    lhs: frozenset[str]
-    rhs: str
+    __slots__ = _fields = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if not self.lhs:
+    def __init__(self, lhs: frozenset[str], rhs: str) -> None:
+        if not lhs:
             raise InvalidFd("left-hand side must not be empty")
-        if self.rhs in self.lhs:
-            raise InvalidFd(f"trivial dependency: {self.rhs!r} appears on both sides")
+        if rhs in lhs:
+            raise InvalidFd(f"trivial dependency: {rhs!r} appears on both sides")
+        _setfield(self, "lhs", lhs)
+        _setfield(self, "rhs", rhs)
 
     def __repr__(self) -> str:
         left = ", ".join(sorted(self.lhs))
         return f"{{{left}}} -> {self.rhs}"
 
 
-@dataclass
-class AttributeNode:
+class AttributeNode(_Record):
     """One attribute of the relation, with its determiner slots.
 
     ``determiner_slots`` holds one frozenset of node ids per stored
@@ -82,11 +139,21 @@ class AttributeNode:
     atomic and no attribute kind is stored.
     """
 
-    attribute_name: str
-    is_determiner: bool
-    node_id: int
-    determiner_slots: list[frozenset[int]]
-    is_key_attribute: bool
+    __slots__ = _fields = ("attribute_name", "is_determiner", "node_id", "determiner_slots", "is_key_attribute")
+
+    def __init__(
+        self,
+        attribute_name: str,
+        is_determiner: bool,
+        node_id: int,
+        determiner_slots: list[frozenset[int]],
+        is_key_attribute: bool,
+    ) -> None:
+        self.attribute_name = attribute_name
+        self.is_determiner = is_determiner
+        self.node_id = node_id
+        self.determiner_slots = determiner_slots
+        self.is_key_attribute = is_key_attribute
 
 
 def _entry_rank(is_key: bool, is_det: bool) -> int:
@@ -96,8 +163,7 @@ def _entry_rank(is_key: bool, is_det: bool) -> int:
     return 1 if is_det else 2
 
 
-@dataclass
-class SchemaList:
+class SchemaList(_Record):
     """Ordered attribute-node sequence for one relation.
 
     Built only by appends: a new list is empty, and ``add_attribute`` and
@@ -105,12 +171,14 @@ class SchemaList:
     entered; treated as an immutable value afterwards.
     """
 
-    relation_name: str
-    nodes: list[AttributeNode] = field(default_factory=list, init=False)
-    # name -> node, kept up to date by add_attribute; not part of the value
-    _by_name: dict[str, AttributeNode] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("relation_name", "nodes")
+    # _by_name: name -> node, kept up to date by add_attribute; not part of the value
+    __slots__ = (*_fields, "_by_name")
+
+    def __init__(self, relation_name: str) -> None:
+        self.relation_name = relation_name
+        self.nodes: list[AttributeNode] = []
+        self._by_name: dict[str, AttributeNode] = {}
 
     def add_attribute(self, name: str, *, is_key: bool = False, is_det: bool = False) -> int:
         """Append one attribute at the tail and return its node id.

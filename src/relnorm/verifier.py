@@ -50,13 +50,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence, Set
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
 from .errors import UnknownAttribute
 from .fd_engine import FdSet
 from .normalizer import TableStructure, _holders
+from .schema_model import _Frozen, _setfield
 
 
 class ViolationKind(Enum):
@@ -64,12 +64,18 @@ class ViolationKind(Enum):
     TRANSITIVE = "transitive"
 
 
-@dataclass(frozen=True)
-class Violation:
-    table: str
-    kind: ViolationKind
-    dependent: str
-    determiner: frozenset[str]
+# the members as module names, read once per dependency the scan reports
+_PARTIAL, _TRANSITIVE = ViolationKind.PARTIAL, ViolationKind.TRANSITIVE
+
+
+class Violation(_Frozen):
+    __slots__ = _fields = ("table", "kind", "dependent", "determiner")
+
+    def __init__(self, table: str, kind: ViolationKind, dependent: str, determiner: frozenset[str]) -> None:
+        _setfield(self, "table", table)
+        _setfield(self, "kind", kind)
+        _setfield(self, "dependent", dependent)
+        _setfield(self, "determiner", determiner)
 
 
 def _index(tables: Sequence[TableStructure], known: Set[str]) -> dict[str, int]:
@@ -286,10 +292,10 @@ def scan_violations(
             lhs = lhs_of[i]
             if live[i]:
                 if lhs < pk:
-                    hits.append((i, ViolationKind.PARTIAL, name, lhs))
+                    hits.append((i, _PARTIAL, name, lhs))
                 # inside the table and not inside the key, X touches a non-key attribute
                 elif transitive and lhs <= attrs and not lhs <= pk:
-                    hits.append((i, ViolationKind.TRANSITIVE, name, lhs))
+                    hits.append((i, _TRANSITIVE, name, lhs))
             i = prior[i]
     hits.sort(key=itemgetter(0))
     return [Violation(table.name, kind, name, lhs) for _, kind, name, lhs in hits]

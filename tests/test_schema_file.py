@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -291,7 +290,8 @@ def declarations(draw):
             components = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=3)))
         attributes.append(RawAttribute(name, draw(st.booleans()), kind, components))
     if not any(a.is_key for a in attributes):
-        attributes[0] = replace(attributes[0], is_key=True)
+        first = attributes[0]
+        attributes[0] = RawAttribute(first.name, True, first.kind, first.components)
     declared = sorted({n for a in attributes for n in (a.name, *a.components)})
     names = st.lists(st.sampled_from(declared), min_size=1, max_size=2, unique=True)
     fds = [RawFd(tuple(draw(names)), tuple(draw(names))) for _ in range(draw(st.integers(0, 2)))]

@@ -41,7 +41,13 @@ PIPELINE_MODULES = {
     "relnorm.verifier",
 }
 
+# the first five come with `dataclasses`, which only relnorm.baseline imports
 ONLY_ON_USE = {
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
     "statistics",
     "json",
     "pathlib",
