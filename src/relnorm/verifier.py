@@ -31,19 +31,23 @@ rules on each call.  With the kernel built, the costs are:
 - ``scan_violations``: the table's width plus the kernel's pairs, dead or
   live, whose right-hand side is a non-key attribute of the table, so
   scanning every table of a decomposition is linear in the tables plus
-  the kernel's pairs;
+  the kernel's pairs.  It builds the key's set, the table's set only for
+  a 3NF transitive candidate, and a result only for a table it finds
+  violations in;
 - ``preserves_dependencies``: the tables' widths, to build the host index
   :func:`~relnorm.normalizer._holders` (name -> its tables, as int bits),
   plus one bit AND per name of each dependency, embedded iff the AND is
-  nonzero, at a machine word per 30 tables; a dependency no table embeds
-  then takes rounds of one closure per table, and only such a dependency
-  reads the kernel and builds the tables' sets;
-- ``is_lossless``: the same index, plus one walk of the kernel from the
-  first table, linear in the pairs it touches; each pair the walk would
-  fire is first tested for a table that embeds it, by the same ANDs.
-  Only when the walk falls short does the chase run: its rules (linear in
-  the cover), the tableau (tables × universe) plus the rule firings, each
-  a pass over the merged classes of one column.
+  nonzero, at a machine word per 30 tables, with no per-dependency list;
+  a dependency no table embeds then takes rounds of one closure per
+  table, and only such a dependency reads the kernel and builds the
+  tables' sets;
+- ``is_lossless``: the universe's set, the same index, one subset test of
+  the cover's universe, plus one walk of the kernel from the first table,
+  linear in the pairs it touches; each pair the walk would fire is first
+  tested for a table that embeds it, by the same ANDs.  Only when the
+  walk falls short does the chase run: its rules (linear in the cover),
+  the tableau (tables × universe) plus the rule firings, each a pass over
+  the merged classes of one column.
 """
 
 from __future__ import annotations
@@ -91,18 +95,6 @@ def _index(tables: Sequence[TableStructure], known: Set[str]) -> dict[str, int]:
     return holders
 
 
-def _embedded(fds: FdSet, holders: dict[str, int]) -> list[bool]:
-    """Per cover dependency X -> A, whether one table holds all of X ∪ {A}:
-    the AND of the names' table bits is nonzero."""
-    live = []
-    for fd in fds:
-        hosts = holders.get(fd.rhs, 0)
-        for name in fd.lhs:
-            hosts &= holders.get(name, 0)
-        live.append(hosts != 0)
-    return live
-
-
 def is_lossless(
     universe: Sequence[str], fds: FdSet, tables: Sequence[TableStructure]
 ) -> bool:
@@ -145,10 +137,10 @@ def is_lossless(
     """
     known = set(universe)
     holders = _index(tables, known)
-    outside = set(fds.universe) - known
-    if outside:
+    if not known.issuperset(fds.universe):
         raise UnknownAttribute(
-            f"the dependencies' universe holds attributes outside the universe: {sorted(outside)}"
+            "the dependencies' universe holds attributes outside the universe: "
+            f"{sorted(set(fds.universe) - known)}"
         )
     if tables and len(known) == len(fds.universe):
         kernel = fds._kernel
@@ -244,9 +236,14 @@ def preserves_dependencies(fds: FdSet, tables: Sequence[TableStructure]) -> bool
     skipped.  Every closure runs on the cover's kernel, which is built
     only when some dependency is not embedded.
     """
+    holders = _index(tables, set(fds.universe))
     parts = None  # each table's attributes as a set, built at the first dependency no table embeds
-    for fd, embedded in zip(fds, _embedded(fds, _index(tables, set(fds.universe)))):
-        if embedded:
+    for fd in fds:
+        # embedded iff the AND of its names' table bits is nonzero
+        hosts = holders.get(fd.rhs, 0)
+        for name in fd.lhs:
+            hosts &= holders.get(name, 0)
+        if hosts:
             continue
         parts = parts or [frozenset(table.attributes) for table in tables]
         kernel = fds._kernel
@@ -273,29 +270,41 @@ def scan_violations(
     determined, inside the table, by a set that is not contained in the
     key and touches a non-key attribute.
 
-    Only the dependencies whose right-hand side is a non-key attribute of
-    the table are read, as the live pairs of the cover's kernel that
-    produce it; violations come out in cover order, which is the order of
-    the live pairs.
+    The scan judges the stored cover: the live pairs of the cover's
+    kernel, not the dependencies the cover only implies.  Only the pairs
+    whose right-hand side is a non-key attribute of the table are read;
+    violations come out once each, in cover order, which is the order of
+    the live pairs.  The cost is the table's width plus those candidate
+    pairs.  The key becomes one set; the table's own attribute set is
+    built only for a 3NF transitive candidate, a pair whose left-hand side
+    is neither inside nor a proper subset of the key.
     """
     if mode not in ("2nf", "3nf"):
         raise ValueError(f"mode must be '2nf' or '3nf', got {mode!r}")
-    pk = set(table.primary_key)
-    attrs = set(table.attributes)
-    transitive = mode == "3nf"
     kernel = fds._kernel
-    lhs_of, live, prior = kernel.lhs, kernel.live, kernel.prior_maker
+    makers, lhs_of, live, prior = kernel.last_maker, kernel.lhs, kernel.live, kernel.prior_maker
+    pk = frozenset(table.primary_key)
+    transitive = mode == "3nf"
+    attrs = None  # the table's names as a set, built for the first transitive candidate
     hits = []
-    for name in attrs - pk:
-        i = kernel.last_maker.get(name, -1)
+    for name in table.attributes:
+        if name in pk:
+            continue
+        i = makers.get(name, -1)
         while i >= 0:
-            lhs = lhs_of[i]
             if live[i]:
+                lhs = lhs_of[i]
                 if lhs < pk:
                     hits.append((i, _PARTIAL, name, lhs))
-                # inside the table and not inside the key, X touches a non-key attribute
-                elif transitive and lhs <= attrs and not lhs <= pk:
-                    hits.append((i, _TRANSITIVE, name, lhs))
+                # not inside the key but inside the table, X touches a non-key attribute
+                elif transitive and not lhs <= pk:
+                    if attrs is None:
+                        attrs = set(table.attributes)
+                    if lhs <= attrs:
+                        hits.append((i, _TRANSITIVE, name, lhs))
             i = prior[i]
-    hits.sort(key=itemgetter(0))
-    return [Violation(table.name, kind, name, lhs) for _, kind, name, lhs in hits]
+    if not hits:
+        return hits
+    # a repeated attribute repeats its hits; after the set, pair indices are
+    # distinct, so the sort orders by them alone
+    return [Violation(table.name, kind, name, lhs) for _, kind, name, lhs in sorted(set(hits))]

@@ -137,6 +137,23 @@ class TestScanViolations:
         with pytest.raises(ValueError):
             scan_violations(table("t", "ab", "a"), state.cover, "bcnf")
 
+    def test_repeated_attribute_reports_each_violation_once(self):
+        # c appears twice in the table; each violation still comes out
+        # once, in cover order
+        fds = FdSet((FD("a", "b"), FD("b", "c")), ("a", "b", "c"))
+        found = scan_violations(table("t", "abcc", "a"), fds, "3nf")
+        assert [(v.kind, v.dependent, set(v.determiner)) for v in found] == [
+            (ViolationKind.TRANSITIVE, "c", {"b"})
+        ]
+        assert scan_violations(table("t", "abcc", "a"), fds, "2nf") == []
+        assert scan_violations(table("t", "bcc", "b"), fds, "3nf") == []
+        # the repeats come before their producers' order: b's pair is first
+        found = scan_violations(table("t", "adccbb", "ad"), fds, "3nf")
+        assert [(v.kind, v.dependent, set(v.determiner)) for v in found] == [
+            (ViolationKind.PARTIAL, "b", {"a"}),
+            (ViolationKind.TRANSITIVE, "c", {"b"}),
+        ]
+
     def test_corpus_outputs_are_clean(self, corpus_schemas):
         for raw in corpus_schemas.values():
             state = prepare(raw)
