@@ -9,18 +9,13 @@ two-sequence baseline for comparison.
 The package exports the pipeline's entry points; the types they take and
 return live in their own modules (``relnorm.normalizer``,
 ``relnorm.schema_model``, ``relnorm.verifier`` and so on).
-
-Importing the package loads the pipeline modules only. The two baseline
-exports, ``memory_cells_single`` and ``memory_cells_double``, are resolved
-on first access (PEP 562), so ``relnorm.baseline`` and its ``statistics``
-import load only when a caller asks for them, ``from relnorm import *``
-included.
 """
 
 from .ddl import emit_ddl
 from .fd_engine import FdSet, minimal_cover, split_rhs
 from .normalizer import classify, decompose_2nf, decompose_3nf, prepare, to_first_normal_form
 from .schema_file import parse_schema_file
+from .schema_model import memory_cells_double, memory_cells_single
 from .verifier import is_lossless, preserves_dependencies, scan_violations
 
 __all__ = [
@@ -40,19 +35,3 @@ __all__ = [
     "split_rhs",
     "to_first_normal_form",
 ]
-
-# resolved by __getattr__ on first access, from relnorm.baseline
-_BASELINE_EXPORTS = ("memory_cells_double", "memory_cells_single")
-
-
-def __getattr__(name: str):
-    if name not in _BASELINE_EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import baseline
-
-    value = globals()[name] = getattr(baseline, name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_BASELINE_EXPORTS})

@@ -4,12 +4,8 @@ The baseline keeps one sequence of attributes and a second sequence of
 dependencies, so classification has to re-derive each attribute's
 determiners by scanning the dependency list — the lookup cost the
 single-sequence design avoids by storing determiner slots in the nodes.
-
-Memory is compared under a fixed abstract cell model read off the node
-layout: name cells of 50 bytes, flag cells of 1, id and link cells of 4,
-and ``MAX_DETERMINERS`` slots of ``MAX_LHS`` ids per node.  Absolute byte
-counts from any concrete runtime are not reproduced; the model makes the
-size comparison explicit and checkable.
+Both sequences hold the pipeline's own records.  Memory is compared under
+the cell model of :mod:`relnorm.schema_model`, beside the node layout.
 
 Timing compares the classification-plus-synthesis pass of both
 representations from prebuilt inputs.  The shared preprocessing
@@ -24,10 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import LhsTooLarge, UnknownAttribute
+from .errors import UnknownAttribute
 from .normalizer import (
     Classification,
     PipelineState,
+    RawAttribute,
     RawSchema,
     bucket_determiners,
     classify,
@@ -35,19 +32,7 @@ from .normalizer import (
     decompose_3nf,
     prepare,
 )
-from .schema_model import MAX_DETERMINERS, MAX_LHS, SchemaList
-
-
-@dataclass(frozen=True)
-class TwoListAttribute:
-    name: str
-    is_key: bool = False
-
-
-@dataclass(frozen=True)
-class TwoListFd:
-    lhs: tuple[str, ...]
-    rhs: str
+from .schema_model import MAX_LHS, FunctionalDependency, _lhs_too_large, memory_cells_double, memory_cells_single
 
 
 @dataclass(frozen=True)
@@ -55,53 +40,17 @@ class TwoListSchema:
     """One attribute sequence plus one dependency sequence."""
 
     relation_name: str
-    attribute_list: tuple[TwoListAttribute, ...]
-    fd_list: tuple[TwoListFd, ...]
+    attribute_list: tuple[RawAttribute, ...]
+    fd_list: tuple[FunctionalDependency, ...]
 
     def __post_init__(self) -> None:
         known = {a.name for a in self.attribute_list}
         for fd in self.fd_list:
             if len(fd.lhs) > MAX_LHS:
-                raise LhsTooLarge(
-                    f"relation {self.relation_name!r}: dependency {', '.join(fd.lhs)} -> {fd.rhs}: "
-                    f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
-                )
-            missing = (set(fd.lhs) | {fd.rhs}) - known
+                raise _lhs_too_large(self.relation_name, fd)
+            missing = (fd.lhs | {fd.rhs}) - known
             if missing:
                 raise UnknownAttribute(f"dependency mentions unknown attributes: {sorted(missing)}")
-
-
-# byte costs of the cell model
-NAME_CELL = 50
-FLAG_CELL = 1
-ID_CELL = 4
-LINK_CELL = 4
-
-
-def memory_cells_single(schema_list: SchemaList) -> int:
-    """Bytes for the single-sequence layout: N times the ten-field node.
-
-    The cell model describes the paper's node, which keeps an attribute
-    type byte.  ``AttributeNode`` stores no kind, since every node is
-    atomic after 1NF flattening, but the byte is still counted so the
-    figures stay those of the paper's layout.
-    """
-    per_node = (
-        NAME_CELL            # attribute name
-        + 2 * FLAG_CELL      # attribute type, determiner flag
-        + ID_CELL            # node id
-        + MAX_DETERMINERS * MAX_LHS * ID_CELL
-        + FLAG_CELL          # key flag
-        + LINK_CELL          # successor link
-    )
-    return len(schema_list.nodes) * per_node
-
-
-def memory_cells_double(schema: TwoListSchema) -> int:
-    """Bytes for the two-sequence layout: attribute nodes plus dependency nodes."""
-    attr_node = NAME_CELL + 2 * FLAG_CELL + LINK_CELL
-    fd_node = MAX_LHS * NAME_CELL + NAME_CELL + LINK_CELL
-    return len(schema.attribute_list) * attr_node + len(schema.fd_list) * fd_node
 
 
 def two_list_from_state(state: PipelineState, *, use_cover: bool) -> TwoListSchema:
@@ -109,19 +58,11 @@ def two_list_from_state(state: PipelineState, *, use_cover: bool) -> TwoListSche
 
     ``use_cover`` selects the canonical cover (what the classification
     pass consumes) instead of the dependencies as entered (what the
-    memory comparison uses).  Attribute order matches the single list.
+    memory comparison uses); ``fd_list`` is that set's own tuple, not a
+    copy.  Attribute order matches the single list.
     """
-    attrs = tuple(
-        TwoListAttribute(node.attribute_name, node.is_key_attribute)
-        for node in state.schema_list.nodes
-    )
-    source = state.cover if use_cover else state.split
-    position = {a.name: i for i, a in enumerate(attrs)}
-    fds = tuple(
-        TwoListFd(tuple(sorted(fd.lhs, key=position.__getitem__)), fd.rhs)
-        for fd in source
-    )
-    return TwoListSchema(state.schema_list.relation_name, attrs, fds)
+    attrs = tuple(RawAttribute(node.attribute_name, node.is_key_attribute) for node in state.schema_list.nodes)
+    return TwoListSchema(state.schema_list.relation_name, attrs, (state.cover if use_cover else state.split).fds)
 
 
 def classify_two_list(schema: TwoListSchema) -> Classification:

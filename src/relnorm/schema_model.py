@@ -17,6 +17,10 @@ Every record of the pipeline, here and in the other modules, is a plain
 class with ``__slots__`` on the small base defined here, :class:`_Record`
 (mutable) or :class:`_Frozen`; :func:`_unchecked` builds one without the
 checks its ``__init__`` makes.
+
+Memory is compared with the two-sequence baseline under a fixed abstract
+cell model read off this layout (:func:`memory_cells_single`,
+:func:`memory_cells_double`); it reproduces no runtime's byte counts.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ MAX_DETERMINERS = 4
 MAX_LHS = 4
 MAX_NAME_LEN = 100
 MAX_ATTRIBUTES = 9000
+
+# byte costs of the cell model; a node also has MAX_DETERMINERS slots of MAX_LHS ids
+NAME_CELL = 50
+FLAG_CELL = 1
+ID_CELL = 4
+LINK_CELL = 4
 
 
 def _is_identifier(name: str) -> bool:
@@ -156,6 +166,14 @@ class AttributeNode(_Record):
         self.is_key_attribute = is_key_attribute
 
 
+def _lhs_too_large(relation_name: str, fd: FunctionalDependency) -> LhsTooLarge:
+    """Both layouts' error for ``fd``, wider than ``MAX_LHS``; the names are sorted."""
+    return LhsTooLarge(
+        f"relation {relation_name!r}: dependency {', '.join(sorted(fd.lhs))} -> {fd.rhs}: "
+        f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
+    )
+
+
 def _entry_rank(is_key: bool, is_det: bool) -> int:
     # key attributes < non-key determiners < the rest
     if is_key:
@@ -229,10 +247,7 @@ class SchemaList(_Record):
         if target is None:
             raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
         if len(fd.lhs) > MAX_LHS:
-            raise LhsTooLarge(
-                f"relation {self.relation_name!r}: dependency {', '.join(sorted(fd.lhs))} -> {fd.rhs}: "
-                f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
-            )
+            raise _lhs_too_large(self.relation_name, fd)
         determiners = []
         for name in fd.lhs:
             node = by_name.get(name)
@@ -250,3 +265,30 @@ class SchemaList(_Record):
         target.determiner_slots.append(slot)
         for node in determiners:
             node.is_determiner = True
+
+
+def memory_cells_single(schema_list: SchemaList) -> int:
+    """Bytes for the single-sequence layout: N times the ten-field node.
+
+    The cell model describes the paper's node, which keeps an attribute
+    type byte.  ``AttributeNode`` stores no kind, since every node is
+    atomic after 1NF flattening, but the byte is still counted so the
+    figures stay those of the paper's layout.
+    """
+    per_node = (
+        NAME_CELL            # attribute name
+        + 2 * FLAG_CELL      # attribute type, determiner flag
+        + ID_CELL            # node id
+        + MAX_DETERMINERS * MAX_LHS * ID_CELL
+        + FLAG_CELL          # key flag
+        + LINK_CELL          # successor link
+    )
+    return len(schema_list.nodes) * per_node
+
+
+def memory_cells_double(schema: TwoListSchema) -> int:
+    """Bytes for the two-sequence layout (``relnorm.baseline.TwoListSchema``):
+    attribute nodes plus dependency nodes; only the two lists' lengths are read."""
+    attr_node = NAME_CELL + 2 * FLAG_CELL + LINK_CELL
+    fd_node = MAX_LHS * NAME_CELL + NAME_CELL + LINK_CELL
+    return len(schema.attribute_list) * attr_node + len(schema.fd_list) * fd_node

@@ -37,7 +37,7 @@ rules on each call.  With the kernel built, the costs are:
 - ``preserves_dependencies``: the tables' widths, to build the host index
   :func:`~relnorm.normalizer._holders` (name -> its tables, as int bits),
   plus one bit AND per name of each dependency, embedded iff the AND is
-  nonzero, at a machine word per 30 tables, with no per-dependency list;
+  nonzero, at a machine word per 30 tables;
   a dependency no table embeds then takes rounds of one closure per
   table, and only such a dependency reads the kernel and builds the
   tables' sets;

@@ -4,8 +4,6 @@ import pytest
 
 from relnorm import corpus
 from relnorm.baseline import (
-    TwoListAttribute,
-    TwoListFd,
     TwoListSchema,
     bench,
     classify_two_list,
@@ -14,9 +12,10 @@ from relnorm.baseline import (
     two_list_from_state,
 )
 from relnorm.errors import LhsTooLarge, UnknownAttribute
-from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
+from relnorm.normalizer import RawAttribute, decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
 from relnorm.schema_model import FunctionalDependency, SchemaList
+from schema_helpers import FD
 
 
 def single_list_with(n_attrs):
@@ -28,9 +27,9 @@ def single_list_with(n_attrs):
 
 
 def two_list_with(n_attrs, n_fds):
-    attrs = [TwoListAttribute("k0", is_key=True)]
-    attrs += [TwoListAttribute(f"x{i}") for i in range(1, max(n_attrs, 2))]
-    fds = tuple(TwoListFd(("k0",), "x1") for _ in range(n_fds))
+    attrs = [RawAttribute("k0", is_key=True)]
+    attrs += [RawAttribute(f"x{i}") for i in range(1, max(n_attrs, 2))]
+    fds = tuple(FD(["k0"], "x1") for _ in range(n_fds))
     return TwoListSchema("R", tuple(attrs[:n_attrs]) if n_attrs else (), fds if n_attrs else ())
 
 
@@ -68,6 +67,15 @@ class TestTwoListClassification:
             covered = two_list_from_state(state, use_cover=True)
             assert classify_two_list(covered) == state.classification, raw.relation_name
 
+    def test_lists_hold_the_pipeline_records(self):
+        state = prepare(corpus.load("ClientRental"))
+        entered = two_list_from_state(state, use_cover=False)
+        assert entered.fd_list is state.split.fds
+        assert two_list_from_state(state, use_cover=True).fd_list is state.cover.fds
+        assert entered.attribute_list == tuple(
+            RawAttribute(node.attribute_name, node.is_key_attribute) for node in state.schema_list.nodes
+        )
+
     def test_identical_decompositions(self, corpus_schemas):
         for raw in corpus_schemas.values():
             state = prepare(raw)
@@ -80,17 +88,17 @@ class TestTwoListClassification:
 
 
 class TestTwoListSchemaChecks:
-    ATTRS = tuple(TwoListAttribute(name, is_key=name == "k") for name in ("k", "a", "b", "c", "d", "e"))
+    ATTRS = tuple(RawAttribute(name, is_key=name == "k") for name in ("k", "a", "b", "c", "d", "e"))
 
     def test_five_wide_lhs_rejected(self):
         with pytest.raises(LhsTooLarge, match="size 5"):
-            TwoListSchema("R", self.ATTRS, (TwoListFd(("k", "a", "b", "c", "d"), "e"),))
+            TwoListSchema("R", self.ATTRS, (FD("kabcd", "e"),))
         # four wide is the limit
-        TwoListSchema("R", self.ATTRS, (TwoListFd(("k", "a", "b", "c"), "e"),))
+        TwoListSchema("R", self.ATTRS, (FD("kabc", "e"),))
 
     @pytest.mark.parametrize(
         "fd, missing",
-        [(TwoListFd(("k", "z"), "a"), "['z']"), (TwoListFd(("k",), "y"), "['y']")],
+        [(FD("kz", "a"), "['z']"), (FD("k", "y"), "['y']")],
     )
     def test_unknown_attribute_rejected(self, fd, missing):
         with pytest.raises(UnknownAttribute, match=re.escape(missing)):

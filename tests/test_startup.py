@@ -1,5 +1,5 @@
 """What a fresh interpreter loads: a command imports only the modules it
-runs, and the top level resolves the baseline exports on first access.
+runs, and the top-level exports load nothing beyond the pipeline.
 
 Each test starts its own ``python -S`` process, since the test process has
 long since imported ``relnorm.baseline`` and ``relnorm.corpus``.  ``-S``
@@ -87,18 +87,26 @@ def test_import_leaves_baseline_unloaded():
     "access",
     [
         "value = relnorm.memory_cells_single\n"
-        "print(value is relnorm.baseline.memory_cells_single)",
+        "print(value is relnorm.schema_model.memory_cells_single)",
         "from relnorm import memory_cells_double\n"
-        "print(memory_cells_double is relnorm.baseline.memory_cells_double)",
+        "print(memory_cells_double is relnorm.schema_model.memory_cells_double)",
         "from relnorm import *\n"
-        "print(memory_cells_single is relnorm.baseline.memory_cells_single"
-        " and memory_cells_double is relnorm.baseline.memory_cells_double)",
+        "print(memory_cells_single is relnorm.schema_model.memory_cells_single"
+        " and memory_cells_double is relnorm.schema_model.memory_cells_double)",
     ],
     ids=["attribute", "from-import", "star-import"],
 )
-def test_lazy_export_is_the_baseline_function(access):
-    # the access is the first thing to import relnorm.baseline
-    assert _fresh(f"import relnorm\n{access}") == "True\n"
+def test_export_is_the_schema_model_function(access):
+    # the exports are schema_model's own functions, and reading them loads
+    # no baseline; the baseline then re-exports those same objects
+    code = (
+        f"import sys, relnorm\n{access}\n"
+        "print('relnorm.baseline' in sys.modules)\n"
+        "import relnorm.baseline\n"
+        "print(all(getattr(relnorm.baseline, name) is getattr(relnorm.schema_model, name)"
+        " for name in ('memory_cells_single', 'memory_cells_double')))"
+    )
+    assert _fresh(code) == "True\nFalse\nTrue\n"
 
 
 def test_unknown_name_raises_attribute_error():
