@@ -10,6 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 input error (usage errors included), 2
 verification failure.
 
+Each command handler builds its whole output and returns it as ``(exit
+code, stdout text, stderr text)``; ``run`` is the only writer, and writes
+only once the handler has returned.  So an input error found at any stage
+leaves standard output empty and standard error one ``error:`` line.
+argparse's usage and help text are the one exception: they are written
+while parsing, before a handler runs.
+
 A ``normalize`` or ``verify`` run loads the pipeline modules and nothing
 else from the package.  ``bench`` imports ``relnorm.baseline`` (with
 ``statistics``) and ``corpus list`` imports ``relnorm.corpus`` (with
@@ -111,100 +118,78 @@ def _payload(state: PipelineState, nf: int, tables: list[TableStructure]) -> dic
     }
 
 
-def _print_tables(out: TextIOBase, state: PipelineState, nf: int, tables: list[TableStructure]) -> None:
-    print(f"relation: {state.flat.relation_name}", file=out)
-    print(f"normal form: {nf}NF", file=out)
-    print(f"tables: {len(tables)}", file=out)
+def _tables_text(state: PipelineState, nf: int, tables: list[TableStructure]) -> str:
+    lines = [f"relation: {state.flat.relation_name}", f"normal form: {nf}NF", f"tables: {len(tables)}"]
     for t in tables:
-        print("", file=out)
-        print(f"table {t.name}", file=out)
-        print(f"  columns: {', '.join(t.attributes)}", file=out)
-        print(f"  primary key: {', '.join(t.primary_key)}", file=out)
-        for fk in t.foreign_keys:
-            print(f"  foreign key: ({', '.join(fk.columns)}) references {fk.references}", file=out)
+        lines += ["", f"table {t.name}", f"  columns: {', '.join(t.attributes)}"]
+        lines.append(f"  primary key: {', '.join(t.primary_key)}")
+        lines += [f"  foreign key: ({', '.join(fk.columns)}) references {fk.references}" for fk in t.foreign_keys]
+    return "\n".join(lines) + "\n"
 
 
-def _run_checks(state: PipelineState, nf: int, tables: list[TableStructure]) -> tuple[bool, bool, int]:
-    universe = state.flat.attribute_names()
-    lossless = is_lossless(universe, state.cover, tables)
+def _checks(state: PipelineState, nf: int, tables: list[TableStructure]) -> tuple[bool, str, str]:
+    """Run the three oracles: whether all passed, the lossless and
+    preservation verdict, and the violation count."""
+    lossless = is_lossless(state.flat.attribute_names(), state.cover, tables)
     preserved = preserves_dependencies(state.cover, tables)
     violations = sum(len(scan_violations(t, state.cover, f"{nf}nf")) for t in tables)
-    return lossless, preserved, violations
+    verdict = f"lossless: {str(lossless).lower()}, dependencies preserved: {str(preserved).lower()}"
+    return lossless and preserved and not violations, verdict, f"violations: {violations}"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _cmd_normalize(args: argparse.Namespace, out: TextIOBase, err: TextIOBase) -> int:
+def _cmd_normalize(args: argparse.Namespace) -> tuple[int, str, str]:
     state = _load(args.file)
     tables = _DECOMPOSE[args.nf](state.classification)
     if args.json:
         import json
 
-        print(json.dumps(_payload(state, args.nf, tables), indent=2), file=out)
+        out = json.dumps(_payload(state, args.nf, tables), indent=2) + "\n"
     else:
-        _print_tables(out, state, args.nf, tables)
+        out = _tables_text(state, args.nf, tables)
         if args.ddl:
-            print("", file=out)
-            print(emit_ddl(tables).text, file=out, end="")
-    code = 0
-    if args.verify:
-        lossless, preserved, violations = _run_checks(state, args.nf, tables)
-        target = err if args.json else out
-        if not args.json:
-            print("", file=out)
-        print(f"lossless: {_bool(lossless)}, dependencies preserved: {_bool(preserved)}", file=target)
-        print(f"violations: {violations}", file=target)
-        if not lossless or not preserved or violations:
-            code = 2
-    return code
+            out += "\n" + emit_ddl(tables).text
+    if not args.verify:
+        return 0, out, ""
+    passed, verdict, violations = _checks(state, args.nf, tables)
+    code = 0 if passed else 2
+    verdict = f"{verdict}\n{violations}\n"
+    # under --json stdout holds only the JSON document, so the verdict goes to stderr
+    return (code, out, verdict) if args.json else (code, f"{out}\n{verdict}", "")
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIOBase, err: TextIOBase) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, str]:
     state = _load(args.file)
-    print(f"relation: {state.flat.relation_name}", file=out)
-    failed = False
+    out, code = f"relation: {state.flat.relation_name}\n", 0
     for nf, decompose in _DECOMPOSE.items():
-        tables = decompose(state.classification)
-        lossless, preserved, violations = _run_checks(state, nf, tables)
-        print(
-            f"{nf}NF: lossless: {_bool(lossless)}, dependencies preserved: "
-            f"{_bool(preserved)}, violations: {violations}",
-            file=out,
-        )
-        if not lossless or not preserved or violations:
-            failed = True
-    return 2 if failed else 0
+        passed, verdict, violations = _checks(state, nf, decompose(state.classification))
+        out += f"{nf}NF: {verdict}, {violations}\n"
+        if not passed:
+            code = 2
+    return code, out, ""
 
 
-def _cmd_bench(args: argparse.Namespace, out: TextIOBase, err: TextIOBase) -> int:
+def _cmd_bench(args: argparse.Namespace) -> tuple[int, str, str]:
     if args.reps < 1:
-        print("error: --reps must be at least 1", file=err)
-        return 1
+        return 1, "", "error: --reps must be at least 1\n"
     from .baseline import bench
     from .corpus import load_all
 
     report = bench(load_all(), repetitions=args.reps)
-    print(report.to_text(), file=out, end="")
+    out = report.to_text()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
             f.write(report.to_csv())
-        print(f"csv written to {args.csv}", file=out)
-    return 0
+        out += f"csv written to {args.csv}\n"
+    return 0, out, ""
 
 
-def _cmd_corpus(args: argparse.Namespace, out: TextIOBase, err: TextIOBase) -> int:
+def _cmd_corpus(args: argparse.Namespace) -> tuple[int, str, str]:
     from .corpus import corpus_names
 
-    for name in corpus_names():
-        print(name, file=out)
-    return 0
+    return 0, "".join(f"{name}\n" for name in corpus_names()), ""
 
 
 def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None, stderr: TextIOBase | None = None) -> int:
-    out = stdout or sys.stdout
-    err = stderr or sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -214,13 +199,17 @@ def run(argv: Sequence[str] | None = None, *, stdout: TextIOBase | None = None, 
         "corpus": _cmd_corpus,
     }
     try:
-        return handlers[args.command](args, out, err)
+        code, out, err = handlers[args.command](args)
+    except (NormalizationError, OSError) as exc:
+        code, out, err = 1, "", f"error: {exc}\n"
+    try:
+        for stream, text in ((stdout or sys.stdout, out), (stderr or sys.stderr, err)):
+            if text:  # an empty write to a closed stdout would drop the error line
+                stream.write(text)
     except BrokenPipeError:
         # the reader of our output went away; that is no input error to report
         return 1
-    except (NormalizationError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+    return code
 
 
 def main() -> None:

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import relnorm
 from relnorm import corpus
@@ -29,6 +31,15 @@ def trace_path(tmp_path):
 def beer_path(tmp_path):
     path = tmp_path / "beer.schema"
     path.write_text(corpus.corpus_text("Beer_Relation"), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def lossy_path(tmp_path):
+    # declared key is not a superkey, so the mutually-determined pair
+    # x/y ends up disconnected from it and the join turns lossy
+    path = tmp_path / "lossy.schema"
+    path.write_text("relation R\nattr k key\nattr x\nattr y\nfd x -> y\nfd y -> x\n", encoding="utf-8")
     return str(path)
 
 
@@ -161,6 +172,19 @@ class TestNormalize:
         for argv in (("normalize", str(path)), ("verify", str(path))):
             assert invoke(*argv) == (1, "", expected)
 
+    def test_error_after_synthesis_leaves_stdout_empty(self, tmp_path):
+        # a valid input whose 3NF tables reference each other in a cycle:
+        # emit_ddl rejects them only after the tables are built, and none of
+        # them may reach stdout ahead of the error
+        path = tmp_path / "cycle.schema"
+        path.write_text(
+            "relation R\nattr x0\nattr x1\nattr x2 key\nattr x3 key\n"
+            "fd x3 -> x0\nfd x2, x0 -> x1\nfd x2, x1 -> x0\n",
+            encoding="utf-8",
+        )
+        expected = (1, "", "error: foreign keys form a cycle among: x2_x1, x2_x0\n")
+        assert invoke("normalize", str(path), "--nf", "3", "--ddl") == expected
+
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]
         assert runs[0] == runs[1]
@@ -173,17 +197,21 @@ class TestVerifyCommand:
         assert "2NF: lossless: true" in out
         assert "3NF: lossless: true" in out
 
-    def test_failing_verification_exits_2(self, tmp_path):
-        # declared key is not a superkey, so the mutually-determined pair
-        # x/y ends up disconnected from it and the join turns lossy
-        doc = "relation R\nattr k key\nattr x\nattr y\nfd x -> y\nfd y -> x\n"
-        path = tmp_path / "lossy.schema"
-        path.write_text(doc, encoding="utf-8")
-        code, out, _ = invoke("verify", str(path))
+    def test_failing_verification_exits_2(self, lossy_path):
+        code, out, _ = invoke("verify", lossy_path)
         assert code == 2
         assert "lossless: false" in out
-        code, out, _ = invoke("normalize", str(path), "--nf", "3", "--verify")
+        # exit 2 is a result: the tables are written, then the verdict
+        code, out, err = invoke("normalize", lossy_path, "--nf", "3", "--verify")
+        assert (code, err) == (2, "")
+        assert out.startswith("relation: R\nnormal form: 3NF\n")
+        assert out.endswith("\n\nlossless: false, dependencies preserved: true\nviolations: 0\n")
+
+    def test_failing_verification_keeps_json_on_stdout(self, lossy_path):
+        code, out, err = invoke("normalize", lossy_path, "--nf", "3", "--json", "--verify")
         assert code == 2
+        assert json.loads(out)["relation"] == "R"
+        assert err == "lossless: false, dependencies preserved: true\nviolations: 0\n"
 
     def test_wide_star_finishes(self, tmp_path):
         # one 30-column table at both normal forms: the preservation test
@@ -257,12 +285,65 @@ class TestBenchCommand:
         code, _, err = invoke("bench", "--reps", "0")
         assert code == 1
 
+    def test_unwritable_csv_leaves_stdout_empty(self, tmp_path):
+        code, out, err = invoke("bench", "--reps", "1", "--csv", str(tmp_path / "missing" / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestCorpusCommand:
     def test_list_names_all_ten(self):
         code, out, _ = invoke("corpus", "list")
         assert code == 0
         assert out.splitlines() == list(corpus.corpus_names())
+
+
+BUNDLED_LINES = [
+    path.read_text(encoding="utf-8").splitlines() for path in sorted(Path(corpus.__file__).parent.glob("*.schema"))
+]
+FUZZ_COMMANDS = (
+    ("verify",),
+    ("normalize", "--nf", "3", "--ddl", "--verify"),
+    ("normalize", "--nf", "2", "--json", "--verify"),
+)
+
+
+@st.composite
+def edited_bundled_files(draw):
+    """A bundled file after a few line edits: insert a line of any bundled
+    file, delete a line, or shuffle them all."""
+    lines = list(draw(st.sampled_from(BUNDLED_LINES)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("insert", "delete", "shuffle")))
+        if edit == "insert":
+            line = draw(st.sampled_from(draw(st.sampled_from(BUNDLED_LINES))))
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif edit == "delete" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif edit == "shuffle":
+            lines = draw(st.permutations(lines))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edited.schema"
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=edited_bundled_files())
+def test_every_edit_exits_cleanly(fuzz_path, doc):
+    # exit 1 is no result: an empty stdout and one error line; exit 0 and
+    # exit 2 both carry the tables
+    fuzz_path.write_text(doc, encoding="utf-8")
+    for command, *flags in FUZZ_COMMANDS:
+        code, out, err = invoke(command, str(fuzz_path), *flags)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert out
 
 
 class _ClosedPipe(io.StringIO):
@@ -282,6 +363,12 @@ class TestBrokenPipe:
         err = io.StringIO()
         assert run([command, beer_path, *flags], stdout=_ClosedPipe(), stderr=err) == 1
         assert err.getvalue() == ""
+
+    def test_input_error_still_reported(self, tmp_path):
+        # exit 1 writes nothing to stdout, so its closing cannot hide the error
+        err = io.StringIO()
+        assert run(["verify", str(tmp_path / "missing.schema")], stdout=_ClosedPipe(), stderr=err) == 1
+        assert err.getvalue().startswith("error: ")
 
     # buffered, the write fails only at the final flush; unbuffered, in run
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
