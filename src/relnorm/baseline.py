@@ -6,6 +6,8 @@ determiners by scanning the dependency list — the lookup cost the
 single-sequence design avoids by storing determiner slots in the nodes.
 Both sequences hold the pipeline's own records.  Memory is compared under
 the cell model of :mod:`relnorm.schema_model`, beside the node layout.
+The baseline's own records sit on the same base as the pipeline's,
+:class:`relnorm.schema_model._Frozen`.
 
 Timing compares the classification-plus-synthesis pass of both
 representations from prebuilt inputs.  The shared preprocessing
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import UnknownAttribute
 from .normalizer import (
@@ -32,25 +33,28 @@ from .normalizer import (
     decompose_3nf,
     prepare,
 )
-from .schema_model import MAX_LHS, FunctionalDependency, _lhs_too_large, memory_cells_double, memory_cells_single
+from .schema_model import MAX_LHS, FunctionalDependency, _Frozen, _lhs_too_large, _setfield
+from .schema_model import memory_cells_double, memory_cells_single
 
 
-@dataclass(frozen=True)
-class TwoListSchema:
+class TwoListSchema(_Frozen):
     """One attribute sequence plus one dependency sequence."""
 
-    relation_name: str
-    attribute_list: tuple[RawAttribute, ...]
-    fd_list: tuple[FunctionalDependency, ...]
+    __slots__ = _fields = ("relation_name", "attribute_list", "fd_list")
 
-    def __post_init__(self) -> None:
-        known = {a.name for a in self.attribute_list}
-        for fd in self.fd_list:
+    def __init__(
+        self, relation_name: str, attribute_list: tuple[RawAttribute, ...], fd_list: tuple[FunctionalDependency, ...]
+    ) -> None:
+        known = {a.name for a in attribute_list}
+        for fd in fd_list:
             if len(fd.lhs) > MAX_LHS:
-                raise _lhs_too_large(self.relation_name, fd)
+                raise _lhs_too_large(relation_name, fd)
             missing = (fd.lhs | {fd.rhs}) - known
             if missing:
                 raise UnknownAttribute(f"dependency mentions unknown attributes: {sorted(missing)}")
+        _setfield(self, "relation_name", relation_name)
+        _setfield(self, "attribute_list", attribute_list)
+        _setfield(self, "fd_list", fd_list)
 
 
 def two_list_from_state(state: PipelineState, *, use_cover: bool) -> TwoListSchema:
@@ -87,39 +91,44 @@ def classify_two_list(schema: TwoListSchema) -> Classification:
     )
 
 
-CSV_HEADER = (
-    "relation,attrs,fds,single_bytes,double_bytes,mem_ratio,"
-    "t2nf_single_us,t2nf_double_us,t3nf_single_us,t3nf_double_us"
-)
+class BenchRow(_Frozen):
+    __slots__ = _fields = (
+        "relation", "attrs", "fds", "single_bytes", "double_bytes", "mem_ratio",
+        "t2nf_single_us", "t2nf_double_us", "t3nf_single_us", "t3nf_double_us",
+    )
+
+    def __init__(
+        self, relation: str, attrs: int, fds: int, single_bytes: int, double_bytes: int, mem_ratio: float,
+        t2nf_single_us: float, t2nf_double_us: float, t3nf_single_us: float, t3nf_double_us: float,
+    ) -> None:
+        _setfield(self, "relation", relation)
+        _setfield(self, "attrs", attrs)
+        _setfield(self, "fds", fds)
+        _setfield(self, "single_bytes", single_bytes)
+        _setfield(self, "double_bytes", double_bytes)
+        _setfield(self, "mem_ratio", mem_ratio)
+        _setfield(self, "t2nf_single_us", t2nf_single_us)
+        _setfield(self, "t2nf_double_us", t2nf_double_us)
+        _setfield(self, "t3nf_single_us", t3nf_single_us)
+        _setfield(self, "t3nf_double_us", t3nf_double_us)
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    relation: str
-    attrs: int
-    fds: int
-    single_bytes: int
-    double_bytes: int
-    mem_ratio: float
-    t2nf_single_us: float
-    t2nf_double_us: float
-    t3nf_single_us: float
-    t3nf_double_us: float
+# one CSV column per BenchRow field, named after it and written with its spec
+CSV_HEADER = ",".join(BenchRow._fields)
+_CSV_SPECS = ("", "", "", "", "", ".4f", ".2f", ".2f", ".2f", ".2f")
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    repetitions: int
+class BenchReport(_Frozen):
+    __slots__ = _fields = ("rows", "repetitions")
+
+    def __init__(self, rows: tuple[BenchRow, ...], repetitions: int) -> None:
+        _setfield(self, "rows", rows)
+        _setfield(self, "repetitions", repetitions)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.relation},{r.attrs},{r.fds},{r.single_bytes},{r.double_bytes},"
-                f"{r.mem_ratio:.4f},{r.t2nf_single_us:.2f},{r.t2nf_double_us:.2f},"
-                f"{r.t3nf_single_us:.2f},{r.t3nf_double_us:.2f}"
-            )
+            lines.append(",".join([format(value, spec) for value, spec in zip(r._values(), _CSV_SPECS)]))
         return "\n".join(lines) + "\n"
 
     def average_double_over_single_memory(self) -> float:
@@ -180,29 +189,16 @@ def bench(corpus: Sequence[RawSchema], repetitions: int = 5) -> BenchReport:
     rows: list[BenchRow] = []
     for raw in corpus:
         state = prepare(raw)
-        entered = two_list_from_state(state, use_cover=False)
         covered = two_list_from_state(state, use_cover=True)
         single_bytes = memory_cells_single(state.schema_list)
-        double_bytes = memory_cells_double(entered)
-        schema_list = state.schema_list
-
-        t2nf_single = _median_us(lambda: decompose_2nf(classify(schema_list)), repetitions)
-        t2nf_double = _median_us(lambda: decompose_2nf(classify_two_list(covered)), repetitions)
-        t3nf_single = _median_us(lambda: decompose_3nf(classify(schema_list)), repetitions)
-        t3nf_double = _median_us(lambda: decompose_3nf(classify_two_list(covered)), repetitions)
-
-        rows.append(
-            BenchRow(
-                relation=raw.relation_name,
-                attrs=len(state.flat.attributes),
-                fds=len(state.split),
-                single_bytes=single_bytes,
-                double_bytes=double_bytes,
-                mem_ratio=single_bytes / double_bytes,
-                t2nf_single_us=t2nf_single,
-                t2nf_double_us=t2nf_double,
-                t3nf_single_us=t3nf_single,
-                t3nf_double_us=t3nf_double,
-            )
-        )
+        double_bytes = memory_cells_double(two_list_from_state(state, use_cover=False))
+        # in BenchRow's order: 2NF single, 2NF double, 3NF single, 3NF double;
+        # each pass is timed before the loop rebinds what it reads
+        timings = [
+            _median_us(lambda: decompose(classify_layout(layout)), repetitions)
+            for decompose in (decompose_2nf, decompose_3nf)
+            for classify_layout, layout in ((classify, state.schema_list), (classify_two_list, covered))
+        ]
+        sizes = (len(state.flat.attributes), len(state.split), single_bytes, double_bytes)
+        rows.append(BenchRow(raw.relation_name, *sizes, single_bytes / double_bytes, *timings))
     return BenchReport(tuple(rows), repetitions)

@@ -13,10 +13,10 @@ checked against the flags declared at insertion time, so callers that know
 the dependencies up front (see ``normalizer.build_schema_list``) get a list
 whose final flags also satisfy the ordering.
 
-Every record of the pipeline, here and in the other modules, is a plain
-class with ``__slots__`` on the small base defined here, :class:`_Record`
-(mutable) or :class:`_Frozen`; :func:`_unchecked` builds one without the
-checks its ``__init__`` makes.
+Every record of the package, the pipeline's and the baseline's alike, is
+a plain class with ``__slots__`` on the small base defined here,
+:class:`_Record` (mutable) or :class:`_Frozen`; :func:`_unchecked` builds
+one without the checks its ``__init__`` makes.
 
 Memory is compared with the two-sequence baseline under a fixed abstract
 cell model read off this layout (:func:`memory_cells_single`,

@@ -4,6 +4,8 @@ import pytest
 
 from relnorm import corpus
 from relnorm.baseline import (
+    BenchReport,
+    BenchRow,
     TwoListSchema,
     bench,
     classify_two_list,
@@ -150,3 +152,38 @@ class TestBench:
         )
         assert len(lines) == 2
         assert lines[1].startswith("Beer_Relation,7,5,875,1662,0.526")
+
+
+class TestReportRendering:
+    # two rows with fixed timings, so every column's width and format is pinned
+    REPORT = BenchReport(
+        (
+            BenchRow("Beer_Relation", 7, 5, 875, 1662, 875 / 1662, 12.3456, 20.5, 13.0, 21.1249),
+            BenchRow("ClientRental", 9, 17, 1125, 4822, 1125 / 4822, 3.14159, 100.0, 2.0, 1234.567),
+        ),
+        3,
+    )
+
+    def test_text(self):
+        rule = "-" * 106
+        assert self.REPORT.to_text() == (
+            "relation                   attrs  fds  single_B  double_B  dbl/sgl"
+            "  2nf_s_us  2nf_d_us  3nf_s_us  3nf_d_us\n"
+            f"{rule}\n"
+            "Beer_Relation                  7    5       875      1662    1.899"
+            "     12.35     20.50     13.00     21.12\n"
+            "ClientRental                   9   17      1125      4822    4.286"
+            "      3.14    100.00      2.00   1234.57\n"
+            f"{rule}\n"
+            "repetitions per timing: 3; corpus average double/single memory: 3.093\n"
+            "timings cover the classification+synthesis pass per representation; "
+            "shared preprocessing is excluded from both sides\n"
+        )
+
+    def test_csv(self):
+        assert self.REPORT.to_csv() == (
+            "relation,attrs,fds,single_bytes,double_bytes,mem_ratio,"
+            "t2nf_single_us,t2nf_double_us,t3nf_single_us,t3nf_double_us\n"
+            "Beer_Relation,7,5,875,1662,0.5265,12.35,20.50,13.00,21.12\n"
+            "ClientRental,9,17,1125,4822,0.2333,3.14,100.00,2.00,1234.57\n"
+        )

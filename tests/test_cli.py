@@ -12,6 +12,8 @@ from hypothesis import given, settings
 import relnorm
 from relnorm import corpus
 from relnorm.cli import run
+from relnorm.normalizer import decompose_2nf, prepare
+from relnorm.schema_file import parse_schema_file
 
 
 def invoke(*argv):
@@ -325,16 +327,56 @@ def edited_bundled_files(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def random_schemas(draw):
+    """Schema text of 2-8 attributes in any order, 1-3 of them keys, some
+    multivalued or composite, and 0-8 dependencies whose left-hand sides
+    are 1-5 names wide.  A dependency may name a composite or one of its
+    components."""
+    count = draw(st.integers(2, 8))
+    keys = draw(st.integers(1, 3))
+    lines, names = [], []
+    for i in range(count):
+        kind = draw(st.sampled_from(("", "", " multivalued", " composite")))
+        if kind == " composite":
+            parts = [f"c{i}_{j}" for j in range(draw(st.integers(1, 3)))]
+            kind = f" composite({', '.join(parts)})"
+            names += parts
+        lines.append(f"attr a{i}{' key' if i < keys else ''}{kind}")
+        names.append(f"a{i}")
+    lines = ["relation R", *draw(st.permutations(lines))]
+    for _ in range(draw(st.integers(0, 8))):
+        lhs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True))
+        rest = [name for name in names if name not in lhs]
+        if rest:
+            rhs = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2, unique=True))
+            lines.append(f"fd {', '.join(lhs)} -> {', '.join(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+def library_tables(doc: str) -> list[dict]:
+    """The 2NF tables of ``doc`` from the library, in the JSON's shape."""
+    return [
+        {
+            "name": t.name,
+            "attributes": list(t.attributes),
+            "primary_key": list(t.primary_key),
+            "foreign_keys": [{"columns": list(fk.columns), "references": fk.references} for fk in t.foreign_keys],
+        }
+        for t in decompose_2nf(prepare(parse_schema_file(doc)).classification)
+    ]
+
+
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "edited.schema"
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=edited_bundled_files())
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(edited_bundled_files(), random_schemas()))
 def test_every_edit_exits_cleanly(fuzz_path, doc):
     # exit 1 is no result: an empty stdout and one error line; exit 0 and
-    # exit 2 both carry the tables
+    # exit 2 both carry the tables, and the JSON ones are the library's
     fuzz_path.write_text(doc, encoding="utf-8")
     for command, *flags in FUZZ_COMMANDS:
         code, out, err = invoke(command, str(fuzz_path), *flags)
@@ -344,6 +386,8 @@ def test_every_edit_exits_cleanly(fuzz_path, doc):
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         else:
             assert out
+            if "--json" in flags:
+                assert json.loads(out)["tables"] == library_tables(doc)
 
 
 class _ClosedPipe(io.StringIO):

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from relnorm import ddl, fd_engine, normalizer, schema_model, verifier
+from relnorm import baseline, ddl, fd_engine, normalizer, schema_model, verifier
+from relnorm.baseline import BenchReport, BenchRow, TwoListSchema
 from relnorm.ddl import DdlScript
 from relnorm.errors import DuplicateAttribute, InvalidFd, NoKeyDeclared, UnknownAttribute
 from relnorm.fd_engine import FdSet, RawFd
@@ -39,6 +40,10 @@ def schema_list() -> SchemaList:
 
 def state(text: str) -> PipelineState:
     return prepare(parse_schema_file(text))
+
+
+def bench_row() -> BenchRow:
+    return BenchRow("R", 2, 1, 250, 366, 250 / 366, 1.5, 2.5, 3.5, 4.5)
 
 
 R_TEXT = "relation R\nattr a key\nattr b\nattr c\nfd a -> b\nfd b -> c\n"
@@ -92,13 +97,33 @@ CASES = {
         {"table": "U", "kind": ViolationKind.TRANSITIVE, "dependent": "c", "determiner": frozenset("b")},
     ),
     DdlScript: (lambda: DdlScript(("CREATE TABLE T ();",)), {"statements": ()}),
+    TwoListSchema: (
+        lambda: TwoListSchema("R", (RawAttribute("a", True), RawAttribute("b")), (FD("a", "b"),)),
+        {"relation_name": "S", "attribute_list": (RawAttribute("x", True),), "fd_list": ()},
+    ),
+    BenchRow: (
+        bench_row,
+        {
+            "relation": "S",
+            "attrs": 3,
+            "fds": 2,
+            "single_bytes": 375,
+            "double_bytes": 676,
+            "mem_ratio": 375 / 676,
+            "t2nf_single_us": 5.5,
+            "t2nf_double_us": 6.5,
+            "t3nf_single_us": 7.5,
+            "t3nf_double_us": 8.5,
+        },
+    ),
+    BenchReport: (lambda: BenchReport((bench_row(),), 3), {"rows": (), "repetitions": 1}),
 }
 MUTABLE = {AttributeNode, SchemaList, TableStructure}
 records = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 
 
 def test_every_record_type_is_covered():
-    modules = (ddl, fd_engine, normalizer, schema_model, verifier)
+    modules = (baseline, ddl, fd_engine, normalizer, schema_model, verifier)
     found = {
         value
         for module in modules

@@ -41,13 +41,11 @@ PIPELINE_MODULES = {
     "relnorm.verifier",
 }
 
-# the first five come with `dataclasses`, which only relnorm.baseline imports
-ONLY_ON_USE = {
-    "dataclasses",
-    "inspect",
-    "ast",
-    "dis",
-    "tokenize",
+# `dataclasses` and four of the modules it brings: no module of the package
+# imports it, so no command loads them, `bench` included
+NEVER_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+ONLY_ON_USE = NEVER_LOADED | {
     "statistics",
     "json",
     "pathlib",
@@ -77,6 +75,13 @@ def test_command_loads_only_the_pipeline(command, flags):
     assert code == 0
     assert {m for m in modules if m.split(".")[0] == "relnorm"} == PIPELINE_MODULES
     assert ONLY_ON_USE.isdisjoint(modules)
+
+
+def test_bench_loads_no_dataclasses():
+    code, modules = ast.literal_eval(_fresh(RUN_AND_LIST_MODULES, "bench", "--reps", "1").splitlines()[-1])
+    assert code == 0
+    assert {"relnorm.baseline", "relnorm.corpus", "statistics"} <= set(modules)
+    assert NEVER_LOADED.isdisjoint(modules)
 
 
 def test_import_leaves_baseline_unloaded():
