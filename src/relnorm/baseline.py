@@ -128,7 +128,7 @@ class BenchReport(_Frozen):
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(",".join([format(value, spec) for value, spec in zip(r._values(), _CSV_SPECS)]))
+            lines.append(",".join([format(value, spec) for value, spec in zip(r._values(), _CSV_SPECS, strict=True)]))
         return "\n".join(lines) + "\n"
 
     def average_double_over_single_memory(self) -> float:
@@ -192,13 +192,13 @@ def bench(corpus: Sequence[RawSchema], repetitions: int = 5) -> BenchReport:
         covered = two_list_from_state(state, use_cover=True)
         single_bytes = memory_cells_single(state.schema_list)
         double_bytes = memory_cells_double(two_list_from_state(state, use_cover=False))
-        # in BenchRow's order: 2NF single, 2NF double, 3NF single, 3NF double;
-        # each pass is timed before the loop rebinds what it reads
-        timings = [
-            _median_us(lambda: decompose(classify_layout(layout)), repetitions)
-            for decompose in (decompose_2nf, decompose_3nf)
-            for classify_layout, layout in ((classify, state.schema_list), (classify_two_list, covered))
-        ]
+        layouts = (("single", classify, state.schema_list), ("double", classify_two_list, covered))
+        # keyed by BenchRow field; each pass is timed before the loop rebinds what it reads
+        timings = {
+            f"t{nf}nf_{side}_us": _median_us(lambda: decompose(classify_layout(layout)), repetitions)
+            for nf, decompose in ((2, decompose_2nf), (3, decompose_3nf))
+            for side, classify_layout, layout in layouts
+        }
         sizes = (len(state.flat.attributes), len(state.split), single_bytes, double_bytes)
-        rows.append(BenchRow(raw.relation_name, *sizes, single_bytes / double_bytes, *timings))
+        rows.append(BenchRow(raw.relation_name, *sizes, single_bytes / double_bytes, **timings))
     return BenchReport(tuple(rows), repetitions)

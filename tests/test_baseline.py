@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from relnorm import corpus
+from relnorm import baseline, corpus
 from relnorm.baseline import (
     BenchReport,
     BenchRow,
@@ -152,6 +152,22 @@ class TestBench:
         )
         assert len(lines) == 2
         assert lines[1].startswith("Beer_Relation,7,5,875,1662,0.526")
+
+    def test_each_pass_lands_in_its_own_column(self, monkeypatch):
+        # each pass returns a marker naming its normal form and layout, and
+        # the timer returns what its pass returned
+        monkeypatch.setattr(baseline, "_median_us", lambda pass_fn, repetitions: pass_fn())
+        monkeypatch.setattr(baseline, "classify", lambda layout: "single")
+        monkeypatch.setattr(baseline, "classify_two_list", lambda layout: "double")
+        monkeypatch.setattr(baseline, "decompose_2nf", lambda side: f"2nf {side}")
+        monkeypatch.setattr(baseline, "decompose_3nf", lambda side: f"3nf {side}")
+        [row] = bench([corpus.load("Beer_Relation")], repetitions=1).rows
+        assert (row.t2nf_single_us, row.t2nf_double_us, row.t3nf_single_us, row.t3nf_double_us) == (
+            "2nf single",
+            "2nf double",
+            "3nf single",
+            "3nf double",
+        )
 
 
 class TestReportRendering:

@@ -42,7 +42,7 @@ PIPELINE_MODULES = {
 }
 
 # `dataclasses` and four of the modules it brings: no module of the package
-# imports it, so no command loads them, `bench` included
+# imports it, so no command loads them through the package's own code
 NEVER_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 ONLY_ON_USE = NEVER_LOADED | {
@@ -81,7 +81,11 @@ def test_bench_loads_no_dataclasses():
     code, modules = ast.literal_eval(_fresh(RUN_AND_LIST_MODULES, "bench", "--reps", "1").splitlines()[-1])
     assert code == 0
     assert {"relnorm.baseline", "relnorm.corpus", "statistics"} <= set(modules)
-    assert NEVER_LOADED.isdisjoint(modules)
+    # relnorm.corpus needs importlib.resources, which on Python 3.12 and later
+    # imports inspect (and with it ast, dis and tokenize); what it loads in
+    # this interpreter is left out, so the pin holds what the package adds
+    resources = ast.literal_eval(_fresh("import sys, importlib.resources; print(sorted(sys.modules))"))
+    assert NEVER_LOADED.isdisjoint(set(modules) - set(resources))
 
 
 def test_import_leaves_baseline_unloaded():
