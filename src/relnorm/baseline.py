@@ -97,21 +97,6 @@ class BenchRow(_Frozen):
         "t2nf_single_us", "t2nf_double_us", "t3nf_single_us", "t3nf_double_us",
     )
 
-    def __init__(
-        self, relation: str, attrs: int, fds: int, single_bytes: int, double_bytes: int, mem_ratio: float,
-        t2nf_single_us: float, t2nf_double_us: float, t3nf_single_us: float, t3nf_double_us: float,
-    ) -> None:
-        _setfield(self, "relation", relation)
-        _setfield(self, "attrs", attrs)
-        _setfield(self, "fds", fds)
-        _setfield(self, "single_bytes", single_bytes)
-        _setfield(self, "double_bytes", double_bytes)
-        _setfield(self, "mem_ratio", mem_ratio)
-        _setfield(self, "t2nf_single_us", t2nf_single_us)
-        _setfield(self, "t2nf_double_us", t2nf_double_us)
-        _setfield(self, "t3nf_single_us", t3nf_single_us)
-        _setfield(self, "t3nf_double_us", t3nf_double_us)
-
 
 # one CSV column per BenchRow field, named after it and written with its spec
 CSV_HEADER = ",".join(BenchRow._fields)
@@ -120,10 +105,6 @@ _CSV_SPECS = ("", "", "", "", "", ".4f", ".2f", ".2f", ".2f", ".2f")
 
 class BenchReport(_Frozen):
     __slots__ = _fields = ("rows", "repetitions")
-
-    def __init__(self, rows: tuple[BenchRow, ...], repetitions: int) -> None:
-        _setfield(self, "rows", rows)
-        _setfield(self, "repetitions", repetitions)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

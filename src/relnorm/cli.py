@@ -19,13 +19,12 @@ while parsing, before a handler runs.
 
 A ``normalize`` or ``verify`` run loads the pipeline modules and nothing
 else from the package.  ``bench`` imports ``relnorm.baseline`` (with
-``statistics``) and ``corpus list`` imports ``relnorm.corpus`` (with
-``importlib.resources``) inside their handlers, and ``--json`` imports
-``json`` in its branch, so each command pays at start-up only for the
-modules it runs.  The benchmark times ``import relnorm.cli`` in a fresh
-process as ``cli.import_ms``, apart from the bare interpreter's
-``cli.interpreter_ms``; where no bytecode is cached, the import includes
-compiling each module it loads.
+``statistics``) and ``corpus list`` imports ``relnorm.corpus`` inside
+their handlers, and ``--json`` imports ``json`` in its branch, so each
+command pays at start-up only for the modules it runs.  The benchmark
+times ``import relnorm.cli`` in a fresh process as ``cli.import_ms``,
+apart from the bare interpreter's ``cli.interpreter_ms``; where no
+bytecode is cached, the import includes compiling each module it loads.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ..normalizer import RawSchema
 from ..schema_file import parse_schema_file
@@ -30,11 +30,12 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def corpus_text(name: str) -> str:
-    return corpus_path(name).read_text(encoding="utf-8")
+    with open(corpus_path(name), encoding="utf-8") as f:
+        return f.read()
 
 
-def corpus_path(name: str):
-    return resources.files(__package__).joinpath(_FILES[name][0])
+def corpus_path(name: str) -> str:
+    return os.path.join(os.path.dirname(__file__), _FILES[name][0])
 
 
 def load(name: str) -> RawSchema:

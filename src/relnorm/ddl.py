@@ -12,14 +12,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from .errors import CyclicReference, DanglingForeignKey
 from .normalizer import TableStructure
-from .schema_model import _Frozen, _setfield
+from .schema_model import _Frozen
 
 
 class DdlScript(_Frozen):
     __slots__ = _fields = ("statements",)
-
-    def __init__(self, statements: tuple[str, ...]) -> None:
-        _setfield(self, "statements", statements)
 
     @property
     def text(self) -> str:

@@ -29,10 +29,6 @@ class RawFd(_Frozen):
 
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]) -> None:
-        _setfield(self, "lhs", lhs)
-        _setfield(self, "rhs", rhs)
-
 
 class FdSet(_Frozen):
     """An ordered set of singleton-RHS dependencies over a fixed universe.

@@ -149,10 +149,6 @@ class DependencyGroup(_Frozen):
 
     __slots__ = _fields = ("determiner", "dependents")
 
-    def __init__(self, determiner: tuple[str, ...], dependents: tuple[str, ...]) -> None:
-        _setfield(self, "determiner", determiner)
-        _setfield(self, "dependents", dependents)
-
 
 class Classification(_Frozen):
     """The full / partial / transitive buckets for one relation.
@@ -165,27 +161,9 @@ class Classification(_Frozen):
 
     __slots__ = _fields = ("relation_name", "a1", "a2", "a3", "prime_attributes")
 
-    def __init__(
-        self,
-        relation_name: str,
-        a1: tuple[str, ...],
-        a2: tuple[DependencyGroup, ...],
-        a3: tuple[DependencyGroup, ...],
-        prime_attributes: tuple[str, ...],
-    ) -> None:
-        _setfield(self, "relation_name", relation_name)
-        _setfield(self, "a1", a1)
-        _setfield(self, "a2", a2)
-        _setfield(self, "a3", a3)
-        _setfield(self, "prime_attributes", prime_attributes)
-
 
 class ForeignKey(_Frozen):
     __slots__ = _fields = ("columns", "references")
-
-    def __init__(self, columns: tuple[str, ...], references: str) -> None:
-        _setfield(self, "columns", columns)
-        _setfield(self, "references", references)
 
 
 class TableStructure(_Record):
@@ -425,15 +403,6 @@ class PipelineState(_Frozen):
     raises ``TypeError``: its node sequence is mutable."""
 
     __slots__ = _fields = ("flat", "split", "cover", "schema_list", "classification")
-
-    def __init__(
-        self, flat: RawSchema, split: FdSet, cover: FdSet, schema_list: SchemaList, classification: Classification
-    ) -> None:
-        _setfield(self, "flat", flat)
-        _setfield(self, "split", split)
-        _setfield(self, "cover", cover)
-        _setfield(self, "schema_list", schema_list)
-        _setfield(self, "classification", classification)
 
 
 def prepare(raw: RawSchema) -> PipelineState:

@@ -15,8 +15,9 @@ whose final flags also satisfy the ordering.
 
 Every record of the package, the pipeline's and the baseline's alike, is
 a plain class with ``__slots__`` on the small base defined here,
-:class:`_Record` (mutable) or :class:`_Frozen`; :func:`_unchecked` builds
-one without the checks its ``__init__`` makes.
+:class:`_Record` (mutable) or :class:`_Frozen`.  A record declares its
+fields once, in ``_fields``, and writes an ``__init__`` only to check
+values or fill in defaults; :func:`_unchecked` skips those checks.
 
 Memory is compared with the two-sequence baseline under a fixed abstract
 cell model read off this layout (:func:`memory_cells_single`,
@@ -73,8 +74,10 @@ class _Record:
     """A plain record: the base of the pipeline's value types.
 
     A subclass lists its fields, in constructor order, in ``_fields`` and
-    stores them in ``__slots__``.  Two records are equal when they are of
-    the same type and their fields are equal, so a record equals no tuple
+    stores them in ``__slots__``; it writes an ``__init__`` only to check
+    values or fill in defaults, and is otherwise given one that takes and
+    stores its fields in that order.  Two records are equal when they are
+    of the same type and their fields are equal, so a record equals no tuple
     and no record of another type.  The repr is ``Type(field=value, ...)``
     over ``_fields``; a slot outside ``_fields`` is not part of the value.
     A plain record is mutable and unhashable; a :class:`_Frozen` one is
@@ -83,6 +86,20 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # the __init__ one would write: a parameter per field, each stored by
+        # assignment, or with _setfield past a frozen record's __setattr__; the
+        # source holds only the names in _fields, and a subclass that inherits
+        # _fields inherits its parent's __init__
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            store = "self.{0} = {0}" if cls.__setattr__ is _setfield else "_setfield(self, {0!r}, {0})"
+            body = "".join([f"\n    {store.format(name)}" for name in cls._fields])
+            scope = {"__name__": cls.__module__, "_setfield": _setfield}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -150,20 +167,6 @@ class AttributeNode(_Record):
     """
 
     __slots__ = _fields = ("attribute_name", "is_determiner", "node_id", "determiner_slots", "is_key_attribute")
-
-    def __init__(
-        self,
-        attribute_name: str,
-        is_determiner: bool,
-        node_id: int,
-        determiner_slots: list[frozenset[int]],
-        is_key_attribute: bool,
-    ) -> None:
-        self.attribute_name = attribute_name
-        self.is_determiner = is_determiner
-        self.node_id = node_id
-        self.determiner_slots = determiner_slots
-        self.is_key_attribute = is_key_attribute
 
 
 def _lhs_too_large(relation_name: str, fd: FunctionalDependency) -> LhsTooLarge:

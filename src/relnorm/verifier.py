@@ -60,7 +60,7 @@ from operator import itemgetter
 from .errors import UnknownAttribute
 from .fd_engine import FdSet
 from .normalizer import TableStructure, _holders
-from .schema_model import _Frozen, _setfield
+from .schema_model import _Frozen
 
 
 class ViolationKind(Enum):
@@ -74,12 +74,6 @@ _PARTIAL, _TRANSITIVE = ViolationKind.PARTIAL, ViolationKind.TRANSITIVE
 
 class Violation(_Frozen):
     __slots__ = _fields = ("table", "kind", "dependent", "determiner")
-
-    def __init__(self, table: str, kind: ViolationKind, dependent: str, determiner: frozenset[str]) -> None:
-        _setfield(self, "table", table)
-        _setfield(self, "kind", kind)
-        _setfield(self, "dependent", dependent)
-        _setfield(self, "determiner", determiner)
 
 
 def _index(tables: Sequence[TableStructure], known: Set[str]) -> dict[str, int]:

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 import relnorm
 from relnorm import cli, corpus
 from relnorm.cli import run
-from relnorm.normalizer import decompose_2nf, prepare
+from relnorm.ddl import emit_ddl
+from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
 
 
@@ -363,7 +364,8 @@ def fuzz_path(tmp_path_factory):
 @given(doc=st.one_of(edited_bundled_files(), random_schemas()))
 def test_every_edit_exits_cleanly(fuzz_path, doc):
     # exit 1 is no result: an empty stdout and one error line; exit 0 and
-    # exit 2 both carry the tables, and the JSON ones are the library's
+    # exit 2 both carry the library's tables, and verify exits 2 exactly
+    # when one of its verdicts fails
     fuzz_path.write_text(doc, encoding="utf-8")
     for command, *flags in FUZZ_COMMANDS:
         code, out, err = invoke(command, str(fuzz_path), *flags)
@@ -371,12 +373,19 @@ def test_every_edit_exits_cleanly(fuzz_path, doc):
         if code == 1:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            continue
+        state = prepare(parse_schema_file(doc))
+        if command == "verify":
+            verdicts = out.splitlines()[1:]
+            assert [line[:4] for line in verdicts] == ["2NF:", "3NF:"]
+            failed = any(": false" in line or int(line.rpartition("violations: ")[2]) for line in verdicts)
+            assert (code == 2) == failed
+        elif "--json" in flags:
+            payload = cli._payload(state, 2, decompose_2nf(state.classification))
+            assert json.loads(out) == json.loads(json.dumps(payload))
         else:
-            assert out
-            if "--json" in flags:
-                state = prepare(parse_schema_file(doc))
-                payload = cli._payload(state, 2, decompose_2nf(state.classification))
-                assert json.loads(out) == json.loads(json.dumps(payload))
+            t3 = decompose_3nf(state.classification)
+            assert out.startswith(cli._tables_text(state, 3, t3) + "\n" + emit_ddl(t3).text)
 
 
 class _ClosedPipe(io.StringIO):

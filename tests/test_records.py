@@ -149,6 +149,37 @@ def test_equal_only_on_type_and_fields(cls):
         assert one != other and other != one, name
 
 
+# every record's constructor takes its fields in order, but a SchemaList's:
+# it is built by appends, so it takes only the name and starts with no nodes
+by_fields = pytest.mark.parametrize(
+    "cls", [cls for cls in CASES if cls is not SchemaList], ids=lambda cls: cls.__name__
+)
+
+
+@by_fields
+def test_constructor_takes_the_fields_in_order(cls):
+    one = CASES[cls][0]()
+    assert cls(**fields_of(one)) == one
+    assert cls(*fields_of(one).values()) == one
+
+
+@by_fields
+def test_constructor_names_itself_when_a_field_is_missing(cls):
+    # the first field, since some constructors give the last ones defaults
+    fields = fields_of(CASES[cls][0]())
+    first = cls._fields[0]
+    del fields[first]
+    with pytest.raises(TypeError) as caught:
+        cls(**fields)
+    assert str(caught.value) == f"{cls.__name__}.__init__() missing 1 required positional argument: '{first}'"
+
+
+def test_subclass_keeps_its_parents_checks():
+    # a subclass that declares no _fields keeps the parent's __init__
+    with pytest.raises(DuplicateAttribute, match="universe contains duplicate names"):
+        type("Twin", (FdSet,), {"__slots__": ()})((), ("a", "a"))
+
+
 @records
 def test_not_equal_to_its_fields_or_another_type(cls):
     one = CASES[cls][0]()

@@ -77,15 +77,20 @@ def test_command_loads_only_the_pipeline(command, flags):
     assert ONLY_ON_USE.isdisjoint(modules)
 
 
-def test_bench_loads_no_dataclasses():
-    code, modules = ast.literal_eval(_fresh(RUN_AND_LIST_MODULES, "bench", "--reps", "1").splitlines()[-1])
+def _loaded_on_use(*argv: str) -> set[str]:
+    """The modules of ``ONLY_ON_USE`` that a fresh ``relnorm <argv>`` loads."""
+    code, modules = ast.literal_eval(_fresh(RUN_AND_LIST_MODULES, *argv).splitlines()[-1])
     assert code == 0
-    assert {"relnorm.baseline", "relnorm.corpus", "statistics"} <= set(modules)
-    # relnorm.corpus needs importlib.resources, which on Python 3.12 and later
-    # imports inspect (and with it ast, dis and tokenize); what it loads in
-    # this interpreter is left out, so the pin holds what the package adds
-    resources = ast.literal_eval(_fresh("import sys, importlib.resources; print(sorted(sys.modules))"))
-    assert NEVER_LOADED.isdisjoint(set(modules) - set(resources))
+    return ONLY_ON_USE & set(modules)
+
+
+def test_bench_loads_no_dataclasses():
+    # nor importlib.resources, pathlib or typing: the corpus is read by path
+    assert _loaded_on_use("bench", "--reps", "1") == {"statistics", "relnorm.baseline", "relnorm.corpus"}
+
+
+def test_corpus_list_loads_only_the_corpus():
+    assert _loaded_on_use("corpus", "list") == {"relnorm.corpus"}
 
 
 def test_import_leaves_baseline_unloaded():
