@@ -8,8 +8,11 @@ so results are deterministic for a given input.
 Every attribute-set closure in the package runs on one kernel,
 :class:`_Kernel`, the counter-based closure of Beeri and Bernstein.
 :func:`minimal_cover` builds one from its input and edits it in place
-between the thousands of closures a cover can need, then hands it to the
-cover it returns, so one run of the pipeline builds one kernel.  Any other
+between the closures a cover needs, then hands it to the cover it returns,
+so one run of the pipeline builds one kernel.  The cover skips the walks
+whose answer it already has and keeps each redundancy walk among its
+goal's ancestors in the dependency graph, so on chains and stars it stays
+near-linear (the rules are in its docstring).  Any other
 ``FdSet`` builds its own on first use.  Either way the set keeps it,
 read-only, for :func:`closure`, :func:`implies` and the decomposition
 oracles.
@@ -230,6 +233,60 @@ def implies(fds: FdSet, candidate: FunctionalDependency) -> bool:
     return candidate.rhs in fds._kernel.close(candidate.lhs, candidate.rhs)
 
 
+def _sink_first_ranks(kernel: _Kernel) -> dict[str, int]:
+    """Number the strongly connected components of the kernel's live
+    dependency graph, which has an edge from each left-hand name of a live
+    pair to its right-hand name: sinks first, in the order Tarjan's
+    algorithm emits them (Tarjan, SIAM J. Comput. 1972).  A name that
+    reaches another in the graph never has the lower number.
+
+    The depth-first search runs on an explicit stack over the kernel's
+    ``users`` lists, so no successor map is built and no chain is too long.
+    """
+    users, rhs, live = kernel.users, kernel.rhs, kernel.live
+    order: dict[str, int] = {}  # name -> its place in the search order
+    low: dict[str, int] = {}
+    rank: dict[str, int] = {}
+    held: list[str] = []  # names searched and not yet in a component
+    for root in kernel.producers:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        held.append(root)
+        path = [(root, iter(users.get(root, ())))]
+        while path:
+            name, pending = path[-1]
+            for i in pending:
+                if not live[i]:
+                    continue
+                gained = rhs[i]
+                if gained not in order:
+                    order[gained] = low[gained] = len(order)
+                    held.append(gained)
+                    path.append((gained, iter(users.get(gained, ()))))
+                    break
+                if gained not in rank and order[gained] < low[name]:
+                    low[name] = order[gained]
+            else:
+                path.pop()
+                if path and low[name] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[name]
+                if low[name] == order[name]:
+                    number = len(rank)
+                    while True:
+                        member = held.pop()
+                        rank[member] = number
+                        if member == name:
+                            break
+    return rank
+
+
+# A redundancy walk that reaches more names than this makes
+# :func:`minimal_cover` number the graph's components (one pass over the
+# pairs) to bound the walks after it; no input this small ever pays for it.
+_RANK_AFTER = 32
+
+
 def minimal_cover(fds: FdSet) -> FdSet:
     """Canonical cover: closure-equivalent, no extraneous left-hand
     attribute, no redundant dependency.
@@ -241,26 +298,64 @@ def minimal_cover(fds: FdSet) -> FdSet:
     surviving set.  Survivors keep their input order.  The cover carries
     the kernel that computed it: dropped dependencies stay in it as dead
     pairs, and survivors keep their reduced left-hand sides.
+
+    Three rules skip or shorten closure walks without changing any answer,
+    so the cover is the one the plain tests give:
+
+    - Left-reduction drops only extraneous attributes, so every closure
+      stays the same for the whole phase.  A walk that ends short of its
+      goal has found its seed's whole closure; it is kept while the next
+      pair has the same left-hand side (the pairs split from one declared
+      line), and those pairs read their answers from it.
+    - A pair that alone produces its right-hand name is never redundant:
+      with it set aside, nothing produces that name.  It is not tested.
+    - A name that cannot reach the goal in the dependency graph never
+      helps produce it.  Once a redundancy walk reaches more than
+      ``_RANK_AFTER`` names, the graph's components are numbered sinks
+      first (:func:`_sink_first_ranks`, after Tarjan 1972), and a walk
+      toward goal ``g`` then fires no pair whose right-hand name is
+      numbered below ``g``.  Later tests only remove edges (the restore
+      puts back the pair just tested), so the numbering holds for the rest
+      of the phase.
+
+    On chains and stars each walk then stays near its goal and the cover
+    is near-linear; a graph with large components can still cost Maier's
+    O(|F|·‖F‖) (JACM 1980).
     """
     position = {name: i for i, name in enumerate(fds.universe)}
     # a kernel of its own, edited below and then handed to the cover;
     # the input's cached one stays untouched
     kernel = _Kernel(fds)
-    lhs_of, rhs_of = kernel.lhs, kernel.rhs
+    lhs_of, rhs_of, producers = kernel.lhs, kernel.rhs, kernel.producers
 
+    # seed -> its whole closure, from a walk that ended short of its goal;
+    # kept only while the next pair has the same left-hand side
+    whole: dict[frozenset[str], Set[str]] = {}
+    last = len(lhs_of) - 1
     for i, lhs in enumerate(lhs_of):
         if len(lhs) < 2:
             continue
+        keep = i < last and lhs_of[i + 1] == lhs
         rhs = rhs_of[i]
         for attr in sorted(lhs, key=position.__getitem__):
             if len(lhs) < 2:
                 break
             # When this pair alone produces rhs, rhs follows from the
             # reduced side iff the dropped attribute does.
-            goal = attr if kernel.producers[rhs] == 1 else rhs
-            if goal in kernel.close(lhs - {attr}, goal):
+            goal = attr if producers[rhs] == 1 else rhs
+            if not producers[goal]:
+                continue
+            seed = lhs - {attr}
+            reach = whole.get(seed)
+            if reach is None:
+                reach = kernel.close(seed, goal)
+                if keep and goal not in reach:
+                    whole[seed] = reach
+            if goal in reach:
                 kernel.drop_lhs_attr(i, attr)
                 lhs = lhs_of[i]
+        if not keep:
+            whole.clear()
 
     # exact duplicates left by the reduction: the first copy stays
     first: dict[tuple[frozenset[str], str], int] = {}
@@ -268,10 +363,21 @@ def minimal_cover(fds: FdSet) -> FdSet:
         if first.setdefault(pair, i) != i:
             kernel.set_live(i, False)
     # set each survivor aside; restore it unless the others still imply it
+    ranks: dict[str, int] | None = None
     for i in first.values():
+        rhs = rhs_of[i]
+        if producers[rhs] == 1:
+            continue
         kernel.set_live(i, False)
-        if rhs_of[i] not in kernel.close(lhs_of[i], rhs_of[i]):
+        if ranks is None:
+            reach = kernel.close(lhs_of[i], rhs)
+        else:
+            floor = ranks[rhs]
+            reach = kernel.close(lhs_of[i], rhs, lambda j: ranks[rhs_of[j]] >= floor)
+        if rhs not in reach:
             kernel.set_live(i, True)
+        if ranks is None and len(reach) > _RANK_AFTER:
+            ranks = _sink_first_ranks(kernel)
 
     # survivors are distinct and inside the universe, as ``fds`` is; the
     # cover keeps the kernel, whose live pairs are its dependencies in order

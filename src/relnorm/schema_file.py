@@ -64,7 +64,8 @@ def _parse_attr(lineno: int, rest: str) -> RawAttribute:
     if not tokens:
         raise SchemaSyntaxError(lineno, "attr needs a name")
     name = tokens[0]
-    _require_names(lineno, (name,), "attribute name")
+    if not (name.isascii() and name.isidentifier() and len(name) <= MAX_NAME_LEN):
+        _require_names(lineno, (name,), "attribute name")
     is_key = False
     multivalued = False
     for flag in tokens[1:]:
@@ -86,6 +87,12 @@ def _parse_attr(lineno: int, rest: str) -> RawAttribute:
 
 
 def _parse_name_list(lineno: int, text: str, what: str) -> tuple[str, ...]:
+    # most sides name one attribute: one test accepts it, and anything it
+    # rejects takes the general path below for its message
+    if "," not in text:
+        name = text.strip()
+        if name.isascii() and name.isidentifier() and len(name) <= MAX_NAME_LEN:
+            return (name,)
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
         raise SchemaSyntaxError(lineno, f"malformed {what} list: {text.strip()!r}")

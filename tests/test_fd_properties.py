@@ -1,5 +1,6 @@
 """Property tests for the set-algebra operators."""
 
+import random
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -17,7 +18,7 @@ from oracles import (
     mask_closure,
     reference_cover,
 )
-from relnorm import verifier
+from relnorm import fd_engine, verifier
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
 from relnorm.normalizer import TableStructure
 from relnorm.schema_model import FunctionalDependency, SchemaList
@@ -124,6 +125,56 @@ def wide_fd_sets(draw):
 def test_minimal_cover_keeps_the_reference_survivors_in_order(fds):
     cover = minimal_cover(fds)
     assert tuple((fd.lhs, fd.rhs) for fd in cover) == reference_cover(fds)
+
+
+def shortcut_chain(names):
+    """``names[0] -> names[1] -> ...`` plus every ``names[i] -> names[i+2]``."""
+    fds = [FunctionalDependency(frozenset([names[i]]), names[i + 1]) for i in range(len(names) - 1)]
+    fds += [FunctionalDependency(frozenset([names[i]]), names[i + 2]) for i in range(len(names) - 2)]
+    return fds
+
+
+@st.composite
+def ranked_fd_sets(draw):
+    """A shuffled shortcut chain of 40-60 names plus up to 20 random lines,
+    left-hand sides 1-4 wide and back edges included, so the graph has
+    components of several names.  A line may name up to three right-hand
+    attributes; its pairs stay adjacent, as the split of a declared line
+    leaves them.  Testing a link while the shortcut over it is live walks
+    the chain's tail, so most of these sets reach the cover's component
+    numbering, which 7-name sets never do."""
+    names = [f"a{i}" for i in range(draw(st.integers(min_value=40, max_value=60)))]
+    lines = [[fd] for fd in shortcut_chain(names)]
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        lhs = frozenset(draw(st.sets(st.sampled_from(names), min_size=1, max_size=4)))
+        rhs = draw(st.lists(st.sampled_from([name for name in names if name not in lhs]), min_size=1, max_size=3))
+        lines.append([FunctionalDependency(lhs, name) for name in rhs])
+    fds = [fd for line in draw(st.permutations(lines)) for fd in line]
+    return FdSet(tuple(fds), tuple(draw(st.permutations(names))))
+
+
+# reference_cover takes 17-53 ms a set at this size
+@settings(max_examples=60, deadline=None)
+@given(ranked_fd_sets())
+def test_minimal_cover_keeps_the_reference_survivors_on_ranked_walks(fds):
+    with patch.object(fd_engine, "_sink_first_ranks", wraps=fd_engine._sink_first_ranks) as ranks:
+        cover = minimal_cover(fds)
+    event(f"components numbered: {ranks.called}")
+    assert tuple((fd.lhs, fd.rhs) for fd in cover) == reference_cover(fds)
+
+
+def test_minimal_cover_numbers_components_once_on_a_long_chain():
+    rng = random.Random(150)
+    names = [f"a{i}" for i in range(150)]
+    fds = shortcut_chain(names)
+    rng.shuffle(fds)
+    rng.shuffle(names)
+    fds = FdSet(tuple(fds), tuple(names))
+    with patch.object(fd_engine, "_sink_first_ranks", wraps=fd_engine._sink_first_ranks) as ranks:
+        cover = minimal_cover(fds)
+    assert ranks.call_count == 1
+    assert tuple((fd.lhs, fd.rhs) for fd in cover) == reference_cover(fds)
+    assert {(fd.lhs, fd.rhs) for fd in cover} == {(frozenset([f"a{i}"]), f"a{i + 1}") for i in range(149)}
 
 
 @settings(max_examples=60)

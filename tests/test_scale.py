@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 from relnorm import verifier
 from relnorm.ddl import emit_ddl
-from relnorm.fd_engine import RawFd
+from relnorm.fd_engine import RawFd, _Kernel
 from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
 
@@ -94,3 +94,35 @@ def test_shuffled_shortcut_chain_is_decided_without_the_chase():
     assert chase.call_count == 0
     assert preserves_dependencies(state.cover, t2)
     assert preserves_dependencies(state.cover, t3)
+
+
+def test_cover_of_a_shuffled_shortcut_chain_at_the_layout_cap_walks_linearly():
+    # the shortcut chain above at 8999 names, one below MAX_ATTRIBUTES.
+    # Testing a_i -> a_(i+1) while a_(i-1) -> a_(i+1) is live used to walk
+    # the whole tail, so the names the cover's walks reached grew as n^2
+    # (35 times pairs plus names at n = 600, 134 times at 2400); walks toward
+    # a goal now stay among its ancestors.  The bound counts names reached,
+    # not seconds.
+    n = 8999
+    rng = random.Random(n)
+    a = [f"a{i}" for i in range(n)]
+    attributes = [RawAttribute(name, is_key=(i == 0)) for i, name in enumerate(a)]
+    fds = [RawFd((a[i],), (a[i + 1],)) for i in range(n - 1)]
+    fds += [RawFd((a[i],), (a[i + 2],)) for i in range(n - 2)]
+    rng.shuffle(attributes)
+    rng.shuffle(fds)
+    reached = []
+    close = _Kernel.close
+
+    def counted(kernel, *args):
+        result = close(kernel, *args)
+        reached.append(len(result))
+        return result
+
+    # prepare's only closures are minimal_cover's
+    with patch.object(_Kernel, "close", counted):
+        state = prepare(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
+    assert sum(reached) <= 2 * (len(fds) + n)
+    t3 = decompose_3nf(state.classification)
+    assert len(t3) == n - 1
+    assert {frozenset(t.attributes) for t in t3} == {frozenset(a[i : i + 2]) for i in range(n - 1)}

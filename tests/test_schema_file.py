@@ -333,6 +333,54 @@ class TestSameRuleBothLayers:
             assert to_first_normal_form(parsed) == flat
 
 
+# names an fd line may hold: declared ones (one at the length cap), and
+# parts outside the grammar or past the cap
+FD_NAMES = ("a", "b", "_c1", "Z" * MAX_NAME_LEN)
+FD_BAD = ("1a", "a-b", "é", "aé", "a" * (MAX_NAME_LEN + 1), "b" * (MAX_NAME_LEN + 1))
+# whitespace a part may carry, three of them Unicode line breaks that do not
+# end a line
+FD_PADDING = st.text(alphabet=" \t\x0b\x85\u2028", max_size=2)
+
+
+@st.composite
+def fd_sides(draw):
+    """One side of an fd line: its text and its parts as they read after
+    stripping.  Parts may repeat, be empty or be bad."""
+    parts = draw(st.lists(st.sampled_from(("", *FD_NAMES, *FD_BAD)), min_size=1, max_size=4))
+    text = ",".join(draw(FD_PADDING) + part + draw(FD_PADDING) for part in parts)
+    return text, parts
+
+
+def fd_line_fault(side: str, text: str, parts: list[str]) -> str | None:
+    """The message for one side of an fd line, or None if it is fine: an
+    empty part makes the list malformed, else the first bad part is named."""
+    if not all(parts):
+        return f"malformed {side} list: {text.strip()!r}"
+    for part in parts:
+        if part not in FD_NAMES:
+            if len(part) > MAX_NAME_LEN:
+                return f"{side} attribute longer than {MAX_NAME_LEN} characters: {part[:20]!r}..."
+            return f"invalid {side} attribute: {part!r}"
+    return None
+
+
+class TestFdLineMessages:
+    @settings(max_examples=300, deadline=None)
+    @given(fd_sides(), fd_sides())
+    def test_fd_line_gives_its_names_once_or_the_first_fault(self, left, right):
+        doc = "relation R\n" + "".join(f"attr {name} key\n" for name in FD_NAMES)
+        doc += f"fd {left[0]} -> {right[0]}\n"
+        fault = fd_line_fault("left-hand", *left) or fd_line_fault("right-hand", *right)
+        event("rejected" if fault else "accepted")
+        if fault:
+            with pytest.raises(SchemaSyntaxError) as raised:
+                parse_schema_file(doc)
+            assert (raised.value.line, raised.value.message) == (len(FD_NAMES) + 2, fault)
+        else:
+            lhs, rhs = (tuple(dict.fromkeys(parts)) for _, parts in (left, right))
+            assert parse_schema_file(doc).declared_fds == (RawFd(lhs, rhs),)
+
+
 class TestCorpusFixtures:
     # declared attribute / split-dependency counts per source table
     EXPECTED = {
