@@ -158,13 +158,11 @@ class _Kernel:
         self.lhs, self.rhs = lhs_of, rhs_of
         self.users, self.producers = users, producers
         self.last_maker, self.prior_maker = last_maker, prior_maker
-        self.width = [len(lhs) for lhs in lhs_of]
         self.live = [True] * len(rhs_of)
 
     def drop_lhs_attr(self, i: int, name: str) -> None:
         """Remove ``name`` from the left-hand side of pair ``i``."""
         self.lhs[i] = self.lhs[i] - {name}
-        self.width[i] -= 1
         self.users[name].remove(i)
 
     def set_live(self, i: int, live: bool) -> None:
@@ -190,7 +188,7 @@ class _Kernel:
         """
         if goal is not None and (goal in seed or not self.producers[goal]):
             return seed
-        rhs, width, users, live = self.rhs, self.width, self.users, self.live
+        lhs, rhs, users, live = self.lhs, self.rhs, self.users, self.live
         reach = set(seed)
         missing: dict[int, int] = {}
         stack = list(reach)
@@ -198,7 +196,7 @@ class _Kernel:
             for i in users.get(name, ()):
                 if not live[i]:
                     continue
-                left = width[i]
+                left = len(lhs[i])
                 if left > 1:
                     left = missing[i] = missing.get(i, left) - 1
                     if left:
@@ -306,7 +304,11 @@ def minimal_cover(fds: FdSet) -> FdSet:
       stays the same for the whole phase.  A walk that ends short of its
       goal has found its seed's whole closure; it is kept while the next
       pair has the same left-hand side (the pairs split from one declared
-      line), and those pairs read their answers from it.
+      line), and those pairs read their answers from it.  This keeps a
+      line ``fd a, b -> x1, ..., xn`` whose seeds have long closures from
+      walking each seed n times: with ``a`` and ``b`` each heading a chain
+      of n names, at n = 2000, ``prepare`` took 0.04 s with the cache and
+      2.2 s without it (best of 3, Python 3.11.7).
     - A pair that alone produces its right-hand name is never redundant:
       with it set aside, nothing produces that name.  It is not tested.
     - A name that cannot reach the goal in the dependency graph never

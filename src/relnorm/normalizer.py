@@ -18,7 +18,6 @@ redundancy elimination, but produce no tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from enum import Enum
 from heapq import heappop, heappush
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
@@ -26,37 +25,27 @@ from .fd_engine import FdSet, RawFd, _split, minimal_cover
 from .schema_model import SchemaList, _entry_rank, _Frozen, _Record, _setfield, _unchecked
 
 
-class RawKind(Enum):
-    ATOMIC = "atomic"
-    MULTIVALUED = "multivalued"
-    COMPOSITE = "composite"
-
-
-# the members as module names, for the per-attribute paths: on Python 3.11
-# reading RawKind.COMPOSITE takes about ten times as long as a module name
-_ATOMIC, _MULTIVALUED, _COMPOSITE = RawKind.ATOMIC, RawKind.MULTIVALUED, RawKind.COMPOSITE
-
-
 class RawAttribute(_Frozen):
-    __slots__ = _fields = ("name", "is_key", "kind", "components")
+    """One declared attribute; it is composite exactly when it has components."""
+
+    __slots__ = _fields = ("name", "is_key", "multivalued", "components")
 
     def __init__(
-        self, name: str, is_key: bool = False, kind: RawKind = _ATOMIC, components: tuple[str, ...] = ()
+        self, name: str, is_key: bool = False, multivalued: bool = False, components: tuple[str, ...] = ()
     ) -> None:
-        if (kind is _COMPOSITE) != bool(components):
-            raise ValueError("components are required exactly for composite attributes")
+        if multivalued and components:
+            raise ValueError("an attribute cannot be both multivalued and composite")
         _setfield(self, "name", name)
         _setfield(self, "is_key", is_key)
-        _setfield(self, "kind", kind)
+        _setfield(self, "multivalued", multivalued)
         _setfield(self, "components", components)
 
     def flat_names(self) -> tuple[str, ...]:
         """The names 1NF flattening gives this attribute: a composite's
         components, ``<name>_ID`` for a multivalued one, else the name."""
-        kind = self.kind
-        if kind is _COMPOSITE:
+        if self.components:
             return self.components
-        if kind is _MULTIVALUED:
+        if self.multivalued:
             return (f"{self.name}_ID",)
         return (self.name,)
 
@@ -121,17 +110,17 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     is built without :class:`RawSchema`'s checks, which ``raw`` has passed
     and which flattening preserves, save the one for repeats.
     """
-    replacement = {a.name: a.flat_names() for a in raw.attributes if a.kind is not _ATOMIC}
+    replacement = {a.name: a.flat_names() for a in raw.attributes if a.multivalued or a.components}
     if not replacement and all(
         len(set(fd.lhs)) == len(fd.lhs) and len(set(fd.rhs)) == len(fd.rhs) for fd in raw.declared_fds
     ):
         return raw
     flat: list[RawAttribute] = []
     for a in raw.attributes:
-        if a.kind is _ATOMIC:
-            flat.append(a)
-        else:
+        if a.name in replacement:
             flat.extend(RawAttribute(name, a.is_key) for name in replacement[a.name])
+        else:
+            flat.append(a)
     _distinct(raw.relation_name, [a.name for a in flat])
 
     def expand(names: tuple[str, ...]) -> tuple[str, ...]:
@@ -325,8 +314,6 @@ def decompose_2nf(c: Classification) -> list[TableStructure]:
     a heap step per turn and per wake-up, not a pass per round.
     """
     tables = _base_tables(c)
-    if not c.a3:
-        return _unique_names(tables)
     groups, n = c.a3, len(c.a3)
     holders = _holders(tables)
     turns = list(range(n))  # round * n + position; sorted, so a heap
@@ -367,8 +354,6 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
     first = len(tables)
     tables += [_group_table(group) for group in c.a3]
     _unique_names(tables)
-    if first == len(tables):
-        return tables
     holders = _holders(tables)
     for pos, table in enumerate(tables[first:], first):
         host = _host(holders, table.primary_key, pos)

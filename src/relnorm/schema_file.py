@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttribute
 from .fd_engine import RawFd
-from .normalizer import _ATOMIC, _COMPOSITE, _MULTIVALUED, RawAttribute, RawSchema, _require_key
+from .normalizer import RawAttribute, RawSchema, _require_key
 from .schema_model import MAX_NAME_LEN, _is_identifier, _unchecked
 
 _COMPONENTS = re.compile(r"composite\(([^()]*)\)")
@@ -77,13 +77,7 @@ def _parse_attr(lineno: int, rest: str) -> RawAttribute:
             raise SchemaSyntaxError(lineno, f"unknown attribute flag {flag!r}")
     if multivalued and components:
         raise SchemaSyntaxError(lineno, "an attribute cannot be both multivalued and composite")
-    if components:
-        kind = _COMPOSITE
-    elif multivalued:
-        kind = _MULTIVALUED
-    else:
-        kind = _ATOMIC
-    return RawAttribute(name, is_key, kind, components)
+    return RawAttribute(name, is_key, multivalued, components)
 
 
 def _parse_name_list(lineno: int, text: str, what: str) -> tuple[str, ...]:

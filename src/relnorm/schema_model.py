@@ -223,7 +223,7 @@ class SchemaList(_Record):
                     f"cannot append {name!r}: key attributes, then non-key determiners, "
                     "then remaining attributes"
                 )
-        if not name or not _is_identifier(name):
+        if not _is_identifier(name):
             raise InvalidName(f"not a valid attribute name: {name!r}")
         if len(name) > MAX_NAME_LEN:
             raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")

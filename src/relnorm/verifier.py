@@ -68,10 +68,6 @@ class ViolationKind(Enum):
     TRANSITIVE = "transitive"
 
 
-# the members as module names, read once per dependency the scan reports
-_PARTIAL, _TRANSITIVE = ViolationKind.PARTIAL, ViolationKind.TRANSITIVE
-
-
 class Violation(_Frozen):
     __slots__ = _fields = ("table", "kind", "dependent", "determiner")
 
@@ -289,13 +285,13 @@ def scan_violations(
             if live[i]:
                 lhs = lhs_of[i]
                 if lhs < pk:
-                    hits.append((i, _PARTIAL, name, lhs))
+                    hits.append((i, ViolationKind.PARTIAL, name, lhs))
                 # not inside the key but inside the table, X touches a non-key attribute
                 elif transitive and not lhs <= pk:
                     if attrs is None:
                         attrs = set(table.attributes)
                     if lhs <= attrs:
-                        hits.append((i, _TRANSITIVE, name, lhs))
+                        hits.append((i, ViolationKind.TRANSITIVE, name, lhs))
             i = prior[i]
     if not hits:
         return hits

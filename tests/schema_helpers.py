@@ -1,7 +1,8 @@
-"""Builders and checks on the node sequence that only the tests use.
+"""Builders and checks on the node sequence that only the tests use, and
+schema documents that more than one test module reads.
 
-They read a :class:`~relnorm.schema_model.SchemaList`'s fields directly,
-so the model keeps no API that nothing but the tests reaches.
+The checks read a :class:`~relnorm.schema_model.SchemaList`'s fields
+directly, so the model keeps no API that nothing but the tests reaches.
 """
 
 from relnorm.schema_model import (
@@ -64,3 +65,15 @@ def check_invariants(sl: SchemaList) -> None:
         )
     ranks = [0 if n.is_key_attribute else 1 if n.is_determiner else 2 for n in sl.nodes]
     assert all(a <= b for a, b in zip(ranks, ranks[1:])), "entry order violated"
+
+
+def wide_line_text(n: int) -> str:
+    """Key ``k``; ``k -> a, b``; ``a -> p0 -> ... -> p(n-1)``;
+    ``b -> q0 -> ... -> q(n-1)``; and one line ``fd a, b -> x0, ..., x(n-1)``,
+    whose seeds ``{a}`` and ``{b}`` each have a closure of n + 1 names."""
+    p, q, x = ([f"{c}{i}" for i in range(n)] for c in "pqx")
+    lines = ["relation WideLine", "attr k key", "attr a", "attr b", *(f"attr {name}" for name in (*p, *q, *x))]
+    lines += ["fd k -> a, b", f"fd a -> {p[0]}", f"fd b -> {q[0]}"]
+    lines += [f"fd {chain[i]} -> {chain[i + 1]}" for chain in (p, q) for i in range(n - 1)]
+    lines.append(f"fd a, b -> {', '.join(x)}")
+    return "\n".join(lines) + "\n"

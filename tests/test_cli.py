@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from relnorm.cli import run
 from relnorm.ddl import emit_ddl
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
+from schema_helpers import wide_line_text
 
 
 def invoke(*argv):
@@ -191,6 +194,56 @@ class TestNormalize:
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+# runs each command on each path named in argv and prints the list of
+# (exit code, stdout, stderr)
+RUN_EACH_COMMAND = """
+import io, sys
+from relnorm.cli import run
+results = []
+for path in sys.argv[1:]:
+    for flags in (["verify"], ["normalize", "--nf", "3", "--ddl", "--verify"], ["normalize", "--nf", "2", "--json", "--verify"]):
+        out, err = io.StringIO(), io.StringIO()
+        code = run([flags[0], path, *flags[1:]], stdout=out, stderr=err)
+        results.append((code, out.getvalue(), err.getvalue()))
+print(repr(results))
+"""
+
+
+def shortcut_chain_text(n: int, seed: int) -> str:
+    """a0 -> a1 -> ... -> a(n-1) plus every a_i -> a_(i+2), key a0, lines shuffled."""
+    rng = random.Random(seed)
+    attrs = ["attr a0 key", *(f"attr a{i}" for i in range(1, n))]
+    fds = [f"fd a{i} -> a{i + step}" for step in (1, 2) for i in range(n - step)]
+    rng.shuffle(attrs)
+    rng.shuffle(fds)
+    return "\n".join(["relation ShortcutChain", *attrs, *fds]) + "\n"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # repeated runs in one process share one hash seed; a fresh process
+    # per seed shows whether set iteration order reaches the output.  The
+    # chain's walks pass the component-numbering trigger (_RANK_AFTER).
+    docs = {name: corpus.corpus_text(name) for name in corpus.corpus_names()}
+    docs["ShortcutChain"] = shortcut_chain_text(200, 200)
+    docs["WideLine"] = wide_line_text(200)
+    paths = []
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.schema"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(Path(relnorm.__file__).parents[1]), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_EACH_COMMAND, *paths],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    codes = [code for code, _, _ in ast.literal_eval(outputs[0])]
+    assert codes == [0] * (3 * len(paths))
 
 
 class TestVerifyCommand:

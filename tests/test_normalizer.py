@@ -21,7 +21,6 @@ from relnorm.normalizer import (
     Classification,
     DependencyGroup,
     RawAttribute,
-    RawKind,
     RawSchema,
     build_schema_list,
     classify,
@@ -80,7 +79,7 @@ class TestFirstNormalForm:
             "R",
             (
                 RawAttribute("k", is_key=True),
-                RawAttribute("phone", kind=RawKind.MULTIVALUED),
+                RawAttribute("phone", multivalued=True),
             ),
             (RawFd(("k",), ("phone",)),),
         )
@@ -100,7 +99,7 @@ class TestFirstNormalForm:
         raw = RawSchema(
             "R",
             (
-                RawAttribute("name", is_key=True, kind=RawKind.COMPOSITE, components=("first", "last")),
+                RawAttribute("name", is_key=True, components=("first", "last")),
                 RawAttribute("x"),
             ),
             (RawFd(("name",), ("x",)),),
@@ -115,7 +114,7 @@ class TestFirstNormalForm:
             RawSchema(
                 "R",
                 (
-                    RawAttribute("k", is_key=True, kind=RawKind.COMPOSITE, components=("x",)),
+                    RawAttribute("k", is_key=True, components=("x",)),
                     RawAttribute("x"),
                 ),
             )
@@ -125,7 +124,7 @@ class TestFirstNormalForm:
             "R",
             (
                 RawAttribute("k", is_key=True),
-                RawAttribute("phone", kind=RawKind.MULTIVALUED),
+                RawAttribute("phone", multivalued=True),
                 RawAttribute("phone_ID"),
             ),
         )
@@ -136,14 +135,24 @@ class TestFirstNormalForm:
         with pytest.raises(UnknownAttribute, match="undeclared attribute 'z'"):
             RawSchema("R", (RawAttribute("k", is_key=True), RawAttribute("x")), (RawFd(("k",), ("z",)),))
 
+    # an attribute with components is composite, so only a multivalued one
+    # can hold components it may not have
+    @pytest.mark.parametrize("multivalued, components", [(True, ("a",))], ids=["multivalued-with-components"])
+    def test_components_exactly_for_composites(self, multivalued, components):
+        with pytest.raises(ValueError, match="an attribute cannot be both multivalued and composite"):
+            RawAttribute("n", multivalued=multivalued, components=components)
+
     @pytest.mark.parametrize(
-        "kind, components",
-        [(RawKind.ATOMIC, ("a",)), (RawKind.MULTIVALUED, ("a",)), (RawKind.COMPOSITE, ())],
-        ids=["atomic-with-components", "multivalued-with-components", "composite-without"],
+        "attribute, flat",
+        [
+            (RawAttribute("n"), ("n",)),
+            (RawAttribute("n", multivalued=True), ("n_ID",)),
+            (RawAttribute("n", components=("a", "b")), ("a", "b")),
+        ],
+        ids=["atomic", "multivalued", "components-make-composite"],
     )
-    def test_components_exactly_for_composites(self, kind, components):
-        with pytest.raises(ValueError, match="components are required exactly for composite"):
-            RawAttribute("n", kind=kind, components=components)
+    def test_flat_names(self, attribute, flat):
+        assert attribute.flat_names() == flat
 
 
 class TestAttributeInfo:
@@ -448,14 +457,14 @@ class TestPrepareChecksValuesBuiltInCode:
                 f"attribute name longer than 100 characters: {'a' * 20!r}...",
             ),
             (
-                RawSchema("R", (RawAttribute("k", True), RawAttribute("m" * 98, kind=RawKind.MULTIVALUED))),
+                RawSchema("R", (RawAttribute("k", True), RawAttribute("m" * 98, multivalued=True))),
                 InvalidName,
                 f"attribute name longer than 100 characters: {'m' * 20!r}...",
             ),
             (
                 RawSchema(
                     "R",
-                    (RawAttribute("k", True), RawAttribute("phone", kind=RawKind.MULTIVALUED), RawAttribute("phone_ID")),
+                    (RawAttribute("k", True), RawAttribute("phone", multivalued=True), RawAttribute("phone_ID")),
                 ),
                 DuplicateAttribute,
                 "duplicate attribute names in 'R': ['phone_ID']",
@@ -514,10 +523,10 @@ def raw_relations(draw):
     leave the right-hand side empty."""
     attributes = []
     for i in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(RawKind))
-        width = draw(st.integers(min_value=1, max_value=2)) if kind is RawKind.COMPOSITE else 0
+        multivalued = draw(st.booleans())
+        width = 0 if multivalued else draw(st.integers(min_value=0, max_value=2))
         components = tuple(f"a{i}_{j}" for j in range(width))
-        attributes.append(RawAttribute(f"a{i}", i == 0 or draw(st.booleans()), kind, components))
+        attributes.append(RawAttribute(f"a{i}", i == 0 or draw(st.booleans()), multivalued, components))
     if draw(st.booleans()):  # most relations stay atomic
         attributes = [RawAttribute(a.name, a.is_key) for a in attributes]
     declared = [name for a in attributes for name in (a.name, *a.components)]

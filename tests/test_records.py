@@ -19,7 +19,6 @@ from relnorm.normalizer import (
     ForeignKey,
     PipelineState,
     RawAttribute,
-    RawKind,
     RawSchema,
     TableStructure,
     prepare,
@@ -71,8 +70,8 @@ CASES = {
     ),
     SchemaList: (schema_list, {"relation_name": "S", "nodes": []}),
     RawAttribute: (
-        lambda: RawAttribute("m", True, RawKind.MULTIVALUED),
-        {"name": "n", "is_key": False, "kind": RawKind.ATOMIC, "components": ("x",)},
+        lambda: RawAttribute("m", True, multivalued=True),
+        {"name": "n", "is_key": False, "multivalued": False, "components": ("x",)},
     ),
     RawSchema: (
         lambda: RawSchema("R", (RawAttribute("a", True), RawAttribute("b")), (RawFd(("a",), ("b",)),)),
@@ -267,12 +266,10 @@ A, B = RawAttribute("a", True), RawAttribute("b")
     [
         (lambda: FD("", "a"), InvalidFd, "left-hand side must not be empty"),
         (lambda: FD("ab", "a"), InvalidFd, "trivial dependency: 'a' appears on both sides"),
-        (lambda: RawAttribute("a", kind=RawKind.COMPOSITE), ValueError, "components are required exactly"),
-        (lambda: RawAttribute("a", components=("x",)), ValueError, "components are required exactly"),
         (
-            lambda: RawAttribute("a", kind=RawKind.MULTIVALUED, components=("x",)),
+            lambda: RawAttribute("a", multivalued=True, components=("x",)),
             ValueError,
-            "components are required exactly",
+            "an attribute cannot be both multivalued and composite",
         ),
         (lambda: FdSet((), ("a", "a")), DuplicateAttribute, "universe contains duplicate names"),
         (lambda: FdSet((FD("a", "c"),), ("a", "b")), UnknownAttribute, "attributes outside universe: ['c']"),
@@ -280,7 +277,7 @@ A, B = RawAttribute("a", True), RawAttribute("b")
         (lambda: FdSet((FD("a", "c"),), ("a", "a")), DuplicateAttribute, "universe contains duplicate names"),
         (lambda: RawSchema("R", (A, RawAttribute("a"))), DuplicateAttribute, "duplicate attribute names in 'R': ['a']"),
         (
-            lambda: RawSchema("R", (A, RawAttribute("c", kind=RawKind.COMPOSITE, components=("a", "d")))),
+            lambda: RawSchema("R", (A, RawAttribute("c", components=("a", "d")))),
             DuplicateAttribute,
             "duplicate attribute names in 'R': ['a']",
         ),
@@ -297,8 +294,6 @@ A, B = RawAttribute("a", True), RawAttribute("b")
     ids=[
         "fd-empty-lhs",
         "fd-trivial",
-        "composite-without-components",
-        "components-without-composite",
         "multivalued-with-components",
         "fdset-duplicate-universe",
         "fdset-outside-name",

@@ -8,7 +8,10 @@ from relnorm import verifier
 from relnorm.ddl import emit_ddl
 from relnorm.fd_engine import RawFd, _Kernel
 from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2nf, decompose_3nf, prepare
+from relnorm.schema_file import parse_schema_file
+from relnorm.schema_model import FunctionalDependency
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
+from schema_helpers import wide_line_text
 
 
 def plain(tables):
@@ -96,6 +99,22 @@ def test_shuffled_shortcut_chain_is_decided_without_the_chase():
     assert preserves_dependencies(state.cover, t3)
 
 
+def prepare_counting_walks(raw):
+    """``prepare(raw)`` and the names its closures reached, summed over
+    every walk; prepare's only closures are minimal_cover's."""
+    reached = []
+    close = _Kernel.close
+
+    def counted(kernel, *args):
+        result = close(kernel, *args)
+        reached.append(len(result))
+        return result
+
+    with patch.object(_Kernel, "close", counted):
+        state = prepare(raw)
+    return state, sum(reached)
+
+
 def test_cover_of_a_shuffled_shortcut_chain_at_the_layout_cap_walks_linearly():
     # the shortcut chain above at 8999 names, one below MAX_ATTRIBUTES.
     # Testing a_i -> a_(i+1) while a_(i-1) -> a_(i+1) is live used to walk
@@ -111,18 +130,22 @@ def test_cover_of_a_shuffled_shortcut_chain_at_the_layout_cap_walks_linearly():
     fds += [RawFd((a[i],), (a[i + 2],)) for i in range(n - 2)]
     rng.shuffle(attributes)
     rng.shuffle(fds)
-    reached = []
-    close = _Kernel.close
-
-    def counted(kernel, *args):
-        result = close(kernel, *args)
-        reached.append(len(result))
-        return result
-
-    # prepare's only closures are minimal_cover's
-    with patch.object(_Kernel, "close", counted):
-        state = prepare(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
-    assert sum(reached) <= 2 * (len(fds) + n)
+    state, reached = prepare_counting_walks(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
+    assert reached <= 2 * (len(fds) + n)
     t3 = decompose_3nf(state.classification)
     assert len(t3) == n - 1
     assert {frozenset(t.attributes) for t in t3} == {frozenset(a[i : i + 2]) for i in range(n - 1)}
+
+
+def test_left_reduction_of_a_wide_line_walks_each_seed_once():
+    # fd a, b -> x0, ..., x199 splits into 200 pairs with one left-hand
+    # side.  Each pair tests dropping a (the seed {b} walks the q chain)
+    # and then b (the seed {a} walks the p chain); neither walk reaches
+    # its goal, so both closures are whole and every later pair of the
+    # line reads them instead of walking again.  Walking each seed once
+    # per pair would reach about 200 times pairs plus names.
+    n = 200
+    raw = parse_schema_file(wide_line_text(n))
+    state, reached = prepare_counting_walks(raw)
+    assert reached <= 2 * (len(state.split) + len(raw.attributes))
+    assert {FunctionalDependency(frozenset("ab"), f"x{i}") for i in range(n)} <= set(state.cover)

@@ -13,7 +13,7 @@ from relnorm.errors import (
     UnknownAttribute,
 )
 from relnorm.fd_engine import RawFd
-from relnorm.normalizer import RawAttribute, RawKind, RawSchema, to_first_normal_form
+from relnorm.normalizer import RawAttribute, RawSchema, to_first_normal_form
 from relnorm.schema_file import parse_schema_file
 from relnorm.schema_model import MAX_NAME_LEN, SchemaList
 
@@ -165,10 +165,11 @@ class TestParse:
             "fd k -> name\n"
         )
         schema = parse_schema_file(doc)
-        kinds = {a.name: a.kind for a in schema.attributes}
-        assert kinds["phones"] is RawKind.MULTIVALUED
-        assert kinds["name"] is RawKind.COMPOSITE
-        assert schema.attributes[2].components == ("first", "last")
+        assert [(a.multivalued, a.components) for a in schema.attributes] == [
+            (False, ()),
+            (True, ()),
+            (False, ("first", "last")),
+        ]
 
     def test_fd_may_reference_components(self):
         doc = "relation R\nattr k key\nattr name composite(first, last)\nfd first -> last\n"
@@ -284,14 +285,12 @@ def declarations(draw):
     attributes = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         name = draw(st.sampled_from(NAME_POOL))
-        kind = draw(st.sampled_from(RawKind))
-        components = ()
-        if kind is RawKind.COMPOSITE:
-            components = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=3)))
-        attributes.append(RawAttribute(name, draw(st.booleans()), kind, components))
+        multivalued = draw(st.booleans())
+        components = () if multivalued else tuple(draw(st.lists(st.sampled_from(NAME_POOL), max_size=3)))
+        attributes.append(RawAttribute(name, draw(st.booleans()), multivalued, components))
     if not any(a.is_key for a in attributes):
         first = attributes[0]
-        attributes[0] = RawAttribute(first.name, True, first.kind, first.components)
+        attributes[0] = RawAttribute(first.name, True, first.multivalued, first.components)
     declared = sorted({n for a in attributes for n in (a.name, *a.components)})
     names = st.lists(st.sampled_from(declared), min_size=1, max_size=2, unique=True)
     fds = [RawFd(tuple(draw(names)), tuple(draw(names))) for _ in range(draw(st.integers(0, 2)))]
@@ -304,9 +303,9 @@ def render(attributes, fds):
         flags = [a.name]
         if a.is_key:
             flags.append("key")
-        if a.kind is RawKind.MULTIVALUED:
+        if a.multivalued:
             flags.append("multivalued")
-        elif a.kind is RawKind.COMPOSITE:
+        elif a.components:
             flags.append(f"composite({', '.join(a.components)})")
         lines.append("attr " + " ".join(flags))
     lines.extend(f"fd {', '.join(fd.lhs)} -> {', '.join(fd.rhs)}" for fd in fds)
