@@ -10,8 +10,8 @@ decomposition: such a decomposition preserves the dependencies and has a
 superkey table (Biskup, Dayal & Bernstein, SIGMOD 1979).  Otherwise the
 chase decides (Aho, Beeri & Ullman, TODS 1979), run as a worklist over
 integer symbols in the manner of Downey, Sethi & Tarjan (JACM 1980): one
-tableau row per table, each column keeping the classes of rows that share
-a symbol, a dependency applied again only after a column of its left-hand
+row per table, each column keeping only the classes of rows that share a
+symbol, a dependency applied again only after a column of its left-hand
 side merged, and a stop as soon as some row is fully distinguished.
 Dependency preservation is decided by the restricted-closure test of
 Beeri and Honeyman: the closure of a left-hand side under the union of the
@@ -25,8 +25,8 @@ Every oracle reads the cover through the closure kernel it keeps
 (``_kernel``, shared with :func:`~relnorm.fd_engine.closure`): a cover
 from :func:`~relnorm.fd_engine.minimal_cover` carries the kernel that
 computed it, and any other ``FdSet`` builds one at its first use, in time
-linear in the universe plus the dependencies.  The chase builds its own
-rules on each call.  With the kernel built, the costs are:
+linear in the universe plus the dependencies.  With the kernel built,
+the costs are:
 
 - ``scan_violations``: the table's width plus the kernel's pairs, dead or
   live, whose right-hand side is a non-key attribute of the table, so
@@ -45,9 +45,9 @@ rules on each call.  With the kernel built, the costs are:
   the cover's universe, plus one walk of the kernel from the first table,
   linear in the pairs it touches; each pair the walk would fire is first
   tested for a table that embeds it, by the same ANDs.  Only when the
-  walk falls short does the chase run: its rules (linear in the cover),
-  the tableau (tables × universe) plus the rule firings, each a pass over
-  the merged classes of one column.
+  walk falls short does the chase run: the universe's columns, the
+  tables' widths plus the cells it merges, and the firings of the
+  kernel's live pairs, each a pass over the classes of one column.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence, Set
 from enum import Enum
-from operator import itemgetter
 
 from .errors import UnknownAttribute
 from .fd_engine import FdSet
@@ -97,23 +96,29 @@ def is_lossless(
     the first row's A becomes distinguished too.  A walk that reaches the
     universe therefore returns True.  It always does when every cover
     dependency is embedded and the first table holds a key, since the walk
-    is then the key's full closure.  The chase decides the rest: when the
-    walk falls short, when ``tables`` is empty, and when ``universe`` names
-    attributes outside the cover's, idle columns that only the first table
-    could supply.
+    is then the key's full closure.  A name outside the cover's universe
+    is produced by no dependency, so the walk counts it only when the
+    first table holds it.  The chase decides the rest: when the walk falls
+    short and when ``tables`` is empty.
 
-    The tableau has one row per table and one column per attribute of the
-    universe.  Symbols are integers: 0 is distinguished, and row ``r``
-    starts with 0 on its table's attributes and its own symbol ``r + 1``
-    everywhere else.  Each column keeps its classes, symbol -> rows; a row
-    still holding its own symbol is in no class.  A dependency X -> A is
-    applied to the classes of X's first column alone, since a row outside
-    them agrees with no other row on X; each class is split by the symbols
-    of the rest of X, and every group of two or more rows has its A-classes
-    merged: the distinguished class wins, otherwise the largest class
-    absorbs the others.  Every dependency is queued once, and again only
-    when a column of its X merged: no other merge changes which rows agree
-    on X, and A already agrees within every group.
+    The chase has one row per table and one column per attribute of the
+    universe, and stores no tableau.  Symbols are integers: 0 is
+    distinguished, and row ``r`` starts with 0 on its table's attributes
+    and its own symbol ``r + 1`` everywhere else.  Each column keeps its
+    classes, symbol -> rows, and the symbols it has set, row -> symbol; a
+    row with no symbol set holds its own, and no cell stores it.  Memory
+    is thus the tables' widths plus the cells that merges set, and row
+    ``r`` is distinguished exactly in the columns that store 0 for it.
+    The dependencies are the live pairs of the cover's kernel.  One
+    X -> A is applied to the classes of one column of X alone, since a row
+    outside them agrees with no other row on X; each class is split by the
+    symbols of the rest of X (one group when X has one name), and every
+    group of two or more rows has its A-classes merged: the distinguished
+    class wins, otherwise the largest class absorbs the others.  Every
+    dependency is queued once, and again, from the kernel's users of the
+    column's name, only when a column of its X merged: no other merge
+    changes which rows agree on X, and A already agrees within every
+    group.
 
     The chase terminates: a dependency re-enters the queue only after a
     firing that changed something, and every such firing lowers the
@@ -132,7 +137,7 @@ def is_lossless(
             "the dependencies' universe holds attributes outside the universe: "
             f"{sorted(set(fds.universe) - known)}"
         )
-    if tables and len(known) == len(fds.universe):
+    if tables:
         kernel = fds._kernel
         lhs, rhs = kernel.lhs, kernel.rhs
 
@@ -149,48 +154,39 @@ def is_lossless(
 
 def _chase(universe: Sequence[str], fds: FdSet, tables: Sequence[TableStructure]) -> bool:
     """The chase of :func:`is_lossless`: a column per name of ``universe``, a row per table."""
-    column = {name: c for c, name in enumerate(dict.fromkeys(universe))}
-    rules = []  # per dependency: X's first column, an itemgetter of the rest of X or None, A's column
-    users: list[list[int]] = [[] for _ in column]  # per column, the rules with it in X
-    for i, fd in enumerate(fds):
-        lhs = sorted([column[name] for name in fd.lhs])
-        for c in lhs:
-            users[c].append(i)
-        rules.append((lhs[0], itemgetter(*lhs[1:]) if len(lhs) > 1 else None, column[fd.rhs]))
-    rows = []
-    classes: list[dict[int, list[int]]] = [{} for _ in column]
+    classes: dict[str, dict[int, list[int]]] = {name: {} for name in universe}  # symbol -> its rows
+    symbol: dict[str, dict[int, int]] = {name: {} for name in classes}  # row -> the symbol set for it
     missing = []  # per row, the cells not yet distinguished
     for r, table in enumerate(tables):
         owned = frozenset(table.attributes)
-        row = [r + 1] * len(column)
         for name in owned:
-            row[column[name]] = 0
-            classes[column[name]].setdefault(0, []).append(r)
-        rows.append(row)
-        missing.append(len(column) - len(owned))
+            classes[name].setdefault(0, []).append(r)
+            symbol[name][r] = 0
+        missing.append(len(classes) - len(owned))
     if not all(missing):
         return True
 
-    queue = deque(range(len(rules)))
-    queued = [True] * len(rules)
+    kernel = fds._kernel
+    live = kernel.live
+    queue = deque(i for i in range(len(live)) if live[i])
+    queued = set(queue)
     while queue:
         i = queue.popleft()
-        queued[i] = False
-        first, key, a = rules[i]
-        held = classes[a]
+        queued.remove(i)
+        first, *rest = kernel.lhs[i]
+        a = kernel.rhs[i]
+        others = [symbol[name] for name in rest]
+        held, cells = classes[a], symbol[a]
         merged = False
         for members in classes[first].values():
             if len(members) < 2:
                 continue
-            if key:
-                by: dict[object, list[int]] = {}
-                for r in members:
-                    by.setdefault(key(rows[r]), []).append(r)
-                groups = by.values()
-            else:
-                groups = (members,)
-            for group in groups:
-                seen = {rows[r][a] for r in group}
+            # a row with no symbol set in a column holds its own, r + 1
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for r in members:
+                groups.setdefault(tuple([other.get(r, r + 1) for other in others]), []).append(r)
+            for group in groups.values():
+                seen = {cells.get(r, r + 1) for r in group}
                 if len(seen) < 2:
                     continue
                 merged = True
@@ -202,15 +198,15 @@ def _chase(universe: Sequence[str], fds: FdSet, tables: Sequence[TableStructure]
                     moved = held.pop(s, None) or [s - 1]
                     into += moved
                     for r in moved:
-                        rows[r][a] = winner
+                        cells[r] = winner
                         if not winner:
                             missing[r] -= 1
                             if not missing[r]:
                                 return True
         if merged:
-            for j in users[a]:
-                if not queued[j]:
-                    queued[j] = True
+            for j in kernel.users.get(a, ()):
+                if live[j] and j not in queued:
+                    queued.add(j)
                     queue.append(j)
     return False
 

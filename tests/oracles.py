@@ -1,14 +1,14 @@
 """Brute-force reference implementations used to cross-check the engine.
 
 Attribute sets are encoded as integer bitmasks over a fixed universe, so
-these oracles share no code or representation with the engine they audit.
+these oracles share no code or representation with the engine they audit,
+and import nothing from it: a dependency set is read only through its
+``universe`` and its dependencies' ``lhs`` and ``rhs``.
 The closure oracle runs a fixed number of full passes (one more than the
 universe size) with no early exit or bookkeeping.
 """
 
 from __future__ import annotations
-
-from relnorm.fd_engine import FdSet
 
 
 def compile_rules(fds, universe: tuple[str, ...]) -> list[tuple[int, int]]:
@@ -30,7 +30,7 @@ def mask_closure(mask: int, rules: list[tuple[int, int]], width: int) -> int:
     return mask
 
 
-def brute_closure(attrs, fds: FdSet) -> frozenset[str]:
+def brute_closure(attrs, fds) -> frozenset[str]:
     universe = fds.universe
     index = {name: i for i, name in enumerate(universe)}
     rules = compile_rules(fds, universe)
@@ -41,7 +41,7 @@ def brute_closure(attrs, fds: FdSet) -> frozenset[str]:
     return frozenset(name for name in universe if result & (1 << index[name]))
 
 
-def equivalent_on_all_subsets(f: FdSet, g: FdSet) -> bool:
+def equivalent_on_all_subsets(f, g) -> bool:
     """Exhaustive closure comparison of two dependency sets."""
     assert f.universe == g.universe
     width = len(f.universe)
@@ -53,7 +53,7 @@ def equivalent_on_all_subsets(f: FdSet, g: FdSet) -> bool:
     return True
 
 
-def has_redundant_fd(fds: FdSet) -> bool:
+def has_redundant_fd(fds) -> bool:
     width = len(fds.universe)
     rules = compile_rules(fds, fds.universe)
     index = {name: i for i, name in enumerate(fds.universe)}
@@ -67,7 +67,7 @@ def has_redundant_fd(fds: FdSet) -> bool:
     return False
 
 
-def has_extraneous_lhs_attribute(fds: FdSet) -> bool:
+def has_extraneous_lhs_attribute(fds) -> bool:
     width = len(fds.universe)
     rules = compile_rules(fds, fds.universe)
     index = {name: i for i, name in enumerate(fds.universe)}
@@ -84,7 +84,7 @@ def has_extraneous_lhs_attribute(fds: FdSet) -> bool:
     return False
 
 
-def brute_preserves(fds: FdSet, tables) -> bool:
+def brute_preserves(fds, tables) -> bool:
     """Exhaustive dependency-preservation test.
 
     ``tables`` holds one collection of attribute names per table.  Each
@@ -113,7 +113,7 @@ def brute_preserves(fds: FdSet, tables) -> bool:
     )
 
 
-def brute_lossless(fds: FdSet, tables) -> bool:
+def brute_lossless(fds, tables) -> bool:
     """Naive chase over plain integer rows.
 
     ``tables`` holds one collection of attribute names per table.  Row i
@@ -147,7 +147,7 @@ def brute_lossless(fds: FdSet, tables) -> bool:
     return any(not any(row) for row in rows)
 
 
-def full_scan_violations(attributes, primary_key, fds: FdSet, mode: str) -> list[tuple[str, str, frozenset[str]]]:
+def full_scan_violations(attributes, primary_key, fds, mode: str) -> list[tuple[str, str, frozenset[str]]]:
     """Violations of one table by a scan of every dependency, in order.
 
     A dependency X -> A with A a non-key attribute of the table is partial
@@ -169,7 +169,7 @@ def full_scan_violations(attributes, primary_key, fds: FdSet, mode: str) -> list
     return found
 
 
-def reference_cover(fds: FdSet) -> tuple[tuple[frozenset[str], str], ...]:
+def reference_cover(fds) -> tuple[tuple[frozenset[str], str], ...]:
     """Canonical cover by the pop/insert algorithm, over bitmask closures.
 
     Left-reduction scans dependencies in order and left-hand attributes in

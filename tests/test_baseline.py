@@ -1,4 +1,6 @@
+import itertools
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,6 +154,18 @@ class TestBench:
         )
         assert len(lines) == 2
         assert lines[1].startswith("Beer_Relation,7,5,875,1662,0.526")
+
+    def test_timer_reads_the_cpu_time_of_the_process(self, monkeypatch):
+        # each pass takes 5 us of the process's CPU time, while every
+        # wall-clock read jumps 1 s, as when other load holds the CPU
+        cpu_ns = [0]
+
+        def one_pass():
+            cpu_ns[0] += 5_000
+
+        clocks = SimpleNamespace(process_time_ns=lambda: cpu_ns[0], perf_counter_ns=itertools.count(0, 10**9).__next__)
+        monkeypatch.setattr(baseline, "time", clocks)
+        assert baseline._median_us(one_pass, 3) == 5.0
 
     def test_each_pass_lands_in_its_own_column(self, monkeypatch):
         # each pass returns a marker naming its normal form and layout, and

@@ -2,6 +2,7 @@
 attributes plus dependencies would take minutes; no timing is asserted."""
 
 import random
+import tracemalloc
 from unittest.mock import patch
 
 from relnorm import verifier
@@ -96,6 +97,37 @@ def test_shuffled_shortcut_chain_is_decided_without_the_chase():
         assert is_lossless(a, state.cover, t3)
     assert chase.call_count == 0
     assert preserves_dependencies(state.cover, t2)
+    assert preserves_dependencies(state.cover, t3)
+
+
+def test_lossy_pairs_are_decided_by_one_chase_without_a_tableau():
+    # k, key, plus n pairs x_i <-> y_i: the key determines nothing, so 3NF
+    # gives one table per left-hand side beside the key's table, no walk
+    # reaches the pairs from it, and the chase decides.  A dense tableau of
+    # its 2n + 1 rows by 2n + 1 columns traced over 100 MiB at this size;
+    # the classes hold the tables' widths, a few MiB.
+    n = 2000
+    pairs = [(f"x{i}", f"y{i}") for i in range(n)]
+    names = ["k", *(name for pair in pairs for name in pair)]
+    attributes = (RawAttribute("k", is_key=True), *(RawAttribute(name) for name in names[1:]))
+    fds = [RawFd((x,), (y,)) for x, y in pairs] + [RawFd((y,), (x,)) for x, y in pairs]
+    state = prepare(RawSchema("R", attributes, tuple(fds)))
+    t2 = decompose_2nf(state.classification)
+    t3 = decompose_3nf(state.classification)
+
+    assert len(t2) == 1
+    assert len(t3) == 2 * n + 1
+    with patch.object(verifier, "_chase", wraps=verifier._chase) as chase:
+        assert is_lossless(names, state.cover, t2)
+        assert chase.call_count == 0
+        tracemalloc.start()
+        try:
+            assert not is_lossless(names, state.cover, t3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert chase.call_count == 1
+    assert peak < 16 * 2**20
     assert preserves_dependencies(state.cover, t3)
 
 
