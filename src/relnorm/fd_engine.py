@@ -89,9 +89,9 @@ def split_rhs(raw_fds: Sequence[RawFd], universe: Sequence[str]) -> FdSet:
     """Break multi-attribute right-hand sides into one dependency each.
 
     Output order follows input order, right-hand attributes in declared
-    order.  A right-hand attribute that also appears on the left carries
-    no information and is dropped, and so is a repeat of an earlier
-    dependency.
+    order.  A name repeated on one side counts once.  A right-hand
+    attribute that also appears on the left carries no information and is
+    dropped, and so is a repeat of an earlier dependency.
     """
     return FdSet(_split(raw_fds), tuple(universe))
 
@@ -186,7 +186,7 @@ class _Kernel:
         once for each pair that would add a name not yet reached, never for
         the others, so it costs only the pairs the walk fires.
         """
-        if goal is not None and (goal in seed or not self.producers[goal]):
+        if goal is not None and not self.producers[goal]:
             return seed
         lhs, rhs, users, live = self.lhs, self.rhs, self.users, self.live
         reach = set(seed)

@@ -101,19 +101,17 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
     Composite attributes are replaced in place by their components, which
     inherit the key flag.  Multivalued attributes become ``<name>_ID`` and
     atomic.  Dependencies follow the rewriting: a composite mentioned in a
-    dependency is replaced by all of its components on either side, and a
-    name repeated on one side is kept once.  A repeated flattened name is
-    rejected.
+    dependency is replaced by all of its components on either side.  A
+    repeated flattened name is rejected.  A name repeated on one side of a
+    dependency is kept; the split to singleton right-hand sides drops it.
 
-    A relation with only atomic attributes and no name repeated on a side
-    is already flat and is returned as it is.  Otherwise the flat relation
-    is built without :class:`RawSchema`'s checks, which ``raw`` has passed
-    and which flattening preserves, save the one for repeats.
+    A relation with only atomic attributes is already flat and is returned
+    as it is.  Otherwise the flat relation is built without
+    :class:`RawSchema`'s checks, which ``raw`` has passed and which
+    flattening preserves, save the one for repeats.
     """
     replacement = {a.name: a.flat_names() for a in raw.attributes if a.multivalued or a.components}
-    if not replacement and all(
-        len(set(fd.lhs)) == len(fd.lhs) and len(set(fd.rhs)) == len(fd.rhs) for fd in raw.declared_fds
-    ):
+    if not replacement:
         return raw
     flat: list[RawAttribute] = []
     for a in raw.attributes:
@@ -127,7 +125,7 @@ def to_first_normal_form(raw: RawSchema) -> RawSchema:
         out: list[str] = []
         for name in names:
             out.extend(replacement.get(name, (name,)))
-        return tuple(dict.fromkeys(out))
+        return tuple(out)
 
     rewritten = tuple(RawFd(expand(fd.lhs), expand(fd.rhs)) for fd in raw.declared_fds)
     return _unchecked(RawSchema, relation_name=raw.relation_name, attributes=tuple(flat), declared_fds=rewritten)

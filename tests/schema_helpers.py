@@ -1,9 +1,13 @@
 """Builders and checks on the node sequence that only the tests use, and
-schema documents that more than one test module reads.
+schema documents that more than one test module or the CI workflow reads.
 
 The checks read a :class:`~relnorm.schema_model.SchemaList`'s fields
 directly, so the model keeps no API that nothing but the tests reaches.
+Each document has one generator here, and the workflow writes its files
+by calling it, so CI runs the text the tests parse.
 """
+
+import random
 
 from relnorm.schema_model import (
     MAX_ATTRIBUTES,
@@ -77,3 +81,30 @@ def wide_line_text(n: int) -> str:
     lines += [f"fd {chain[i]} -> {chain[i + 1]}" for chain in (p, q) for i in range(n - 1)]
     lines.append(f"fd a, b -> {', '.join(x)}")
     return "\n".join(lines) + "\n"
+
+
+def shortcut_chain_text(n: int, seed: int) -> str:
+    """a0 -> a1 -> ... -> a(n-1) plus every a_i -> a_(i+2), key a0, lines shuffled."""
+    rng = random.Random(seed)
+    attrs = ["attr a0 key", *(f"attr a{i}" for i in range(1, n))]
+    fds = [f"fd a{i} -> a{i + step}" for step in (1, 2) for i in range(n - step)]
+    rng.shuffle(attrs)
+    rng.shuffle(fds)
+    return "\n".join(["relation ShortcutChain", *attrs, *fds]) + "\n"
+
+
+def lossy_pairs_text(n: int) -> str:
+    """Key ``k`` plus n pairs ``x_i <-> y_i``: the key determines nothing,
+    so no 3NF table joins the key's table to the pairs losslessly."""
+    lines = ["relation LossyPairs", "attr k key"]
+    lines += [f"attr {c}{i}" for i in range(n) for c in "xy"]
+    lines += [line for i in range(n) for line in (f"fd x{i} -> y{i}", f"fd y{i} -> x{i}")]
+    return "\n".join(lines) + "\n"
+
+
+# a valid relation whose 3NF tables reference each other in a cycle, which
+# emit_ddl rejects only after the tables are built
+FK_CYCLE_TEXT = (
+    "relation R\nattr x0\nattr x1\nattr x2 key\nattr x3 key\n"
+    "fd x3 -> x0\nfd x2, x0 -> x1\nfd x2, x1 -> x0\n"
+)

@@ -2,7 +2,6 @@ import ast
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from relnorm.cli import run
 from relnorm.ddl import emit_ddl
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
-from schema_helpers import wide_line_text
+from schema_helpers import FK_CYCLE_TEXT, shortcut_chain_text, wide_line_text
 
 
 def invoke(*argv):
@@ -179,15 +178,10 @@ class TestNormalize:
             assert invoke(*argv) == (1, "", expected)
 
     def test_error_after_synthesis_leaves_stdout_empty(self, tmp_path):
-        # a valid input whose 3NF tables reference each other in a cycle:
-        # emit_ddl rejects them only after the tables are built, and none of
-        # them may reach stdout ahead of the error
+        # none of the tables built before emit_ddl finds the cycle may reach
+        # stdout ahead of the error
         path = tmp_path / "cycle.schema"
-        path.write_text(
-            "relation R\nattr x0\nattr x1\nattr x2 key\nattr x3 key\n"
-            "fd x3 -> x0\nfd x2, x0 -> x1\nfd x2, x1 -> x0\n",
-            encoding="utf-8",
-        )
+        path.write_text(FK_CYCLE_TEXT, encoding="utf-8")
         expected = (1, "", "error: foreign keys form a cycle among: x2_x1, x2_x0\n")
         assert invoke("normalize", str(path), "--nf", "3", "--ddl") == expected
 
@@ -209,16 +203,6 @@ for path in sys.argv[1:]:
         results.append((code, out.getvalue(), err.getvalue()))
 print(repr(results))
 """
-
-
-def shortcut_chain_text(n: int, seed: int) -> str:
-    """a0 -> a1 -> ... -> a(n-1) plus every a_i -> a_(i+2), key a0, lines shuffled."""
-    rng = random.Random(seed)
-    attrs = ["attr a0 key", *(f"attr a{i}" for i in range(1, n))]
-    fds = [f"fd a{i} -> a{i + step}" for step in (1, 2) for i in range(n - step)]
-    rng.shuffle(attrs)
-    rng.shuffle(fds)
-    return "\n".join(["relation ShortcutChain", *attrs, *fds]) + "\n"
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -95,6 +95,13 @@ class TestFirstNormalForm:
         )
         assert to_first_normal_form(raw) == raw
 
+    def test_repeated_name_on_a_side_is_left_to_the_split(self):
+        attributes = (RawAttribute("k", is_key=True), RawAttribute("a"))
+        raw = RawSchema("R", attributes, (RawFd(("k", "k"), ("a", "a")),))
+        assert to_first_normal_form(raw) is raw
+        once = RawSchema("R", attributes, (RawFd(("k",), ("a",)),))
+        assert prepare(raw).split == prepare(once).split
+
     def test_composite_expands_in_fds(self):
         raw = RawSchema(
             "R",
@@ -514,6 +521,21 @@ class TestPrepareChecksValuesBuiltInCode:
         event("flat as declared" if flat is raw else "flattened")
         assert (state.flat, state.split, state.cover) == (flat, split, cover)
         assert state.schema_list == build_schema_list(flat, cover)
+        # a name repeated on a side changes nothing past the split
+        once = RawSchema(
+            raw.relation_name,
+            raw.attributes,
+            tuple(RawFd(tuple(dict.fromkeys(fd.lhs)), tuple(dict.fromkeys(fd.rhs))) for fd in raw.declared_fds),
+        )
+        twin = prepare(once)
+        assert (twin.split, twin.cover, twin.schema_list, twin.classification) == (
+            state.split,
+            state.cover,
+            state.schema_list,
+            state.classification,
+        )
+        for decompose in (decompose_2nf, decompose_3nf):
+            assert layout(decompose(twin.classification)) == layout(decompose(state.classification))
 
 
 @st.composite

@@ -1,7 +1,6 @@
 """Closed-form outputs on relations wide enough that a stage quadratic in
 attributes plus dependencies would take minutes; no timing is asserted."""
 
-import random
 import tracemalloc
 from unittest.mock import patch
 
@@ -12,7 +11,7 @@ from relnorm.normalizer import ForeignKey, RawAttribute, RawSchema, decompose_2n
 from relnorm.schema_file import parse_schema_file
 from relnorm.schema_model import FunctionalDependency
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
-from schema_helpers import wide_line_text
+from schema_helpers import lossy_pairs_text, shortcut_chain_text, wide_line_text
 
 
 def plain(tables):
@@ -77,14 +76,8 @@ def test_shuffled_shortcut_chain_is_decided_without_the_chase():
     # Every cover dependency is embedded in both, so preservation needs no
     # closure at a width of thousands of tables.
     n = 2400
-    rng = random.Random(2400)
     a = [f"a{i}" for i in range(n)]
-    attributes = [RawAttribute(name, is_key=(i == 0)) for i, name in enumerate(a)]
-    fds = [RawFd((a[i],), (a[i + 1],)) for i in range(n - 1)]
-    fds += [RawFd((a[i],), (a[i + 2],)) for i in range(n - 2)]
-    rng.shuffle(attributes)
-    rng.shuffle(fds)
-    state = prepare(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
+    state = prepare(parse_schema_file(shortcut_chain_text(n, n)))
     t2 = decompose_2nf(state.classification)
     t3 = decompose_3nf(state.classification)
 
@@ -107,11 +100,9 @@ def test_lossy_pairs_are_decided_by_one_chase_without_a_tableau():
     # its 2n + 1 rows by 2n + 1 columns traced over 100 MiB at this size;
     # the classes hold the tables' widths, a few MiB.
     n = 2000
-    pairs = [(f"x{i}", f"y{i}") for i in range(n)]
-    names = ["k", *(name for pair in pairs for name in pair)]
-    attributes = (RawAttribute("k", is_key=True), *(RawAttribute(name) for name in names[1:]))
-    fds = [RawFd((x,), (y,)) for x, y in pairs] + [RawFd((y,), (x,)) for x, y in pairs]
-    state = prepare(RawSchema("R", attributes, tuple(fds)))
+    raw = parse_schema_file(lossy_pairs_text(n))
+    names = raw.attribute_names()
+    state = prepare(raw)
     t2 = decompose_2nf(state.classification)
     t3 = decompose_3nf(state.classification)
 
@@ -155,15 +146,10 @@ def test_cover_of_a_shuffled_shortcut_chain_at_the_layout_cap_walks_linearly():
     # a goal now stay among its ancestors.  The bound counts names reached,
     # not seconds.
     n = 8999
-    rng = random.Random(n)
     a = [f"a{i}" for i in range(n)]
-    attributes = [RawAttribute(name, is_key=(i == 0)) for i, name in enumerate(a)]
-    fds = [RawFd((a[i],), (a[i + 1],)) for i in range(n - 1)]
-    fds += [RawFd((a[i],), (a[i + 2],)) for i in range(n - 2)]
-    rng.shuffle(attributes)
-    rng.shuffle(fds)
-    state, reached = prepare_counting_walks(RawSchema("ShortcutChain", tuple(attributes), tuple(fds)))
-    assert reached <= 2 * (len(fds) + n)
+    raw = parse_schema_file(shortcut_chain_text(n, n))
+    state, reached = prepare_counting_walks(raw)
+    assert reached <= 2 * (len(raw.declared_fds) + n)
     t3 = decompose_3nf(state.classification)
     assert len(t3) == n - 1
     assert {frozenset(t.attributes) for t in t3} == {frozenset(a[i : i + 2]) for i in range(n - 1)}
