@@ -46,9 +46,36 @@ from .verifier import is_lossless, preserves_dependencies, scan_violations
 _DECOMPOSE = {2: decompose_2nf, 3: decompose_3nf}
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, handed the width it would read itself.
+
+    Given no width, ``HelpFormatter`` imports ``shutil`` (and the seven
+    modules it brings) for ``shutil.get_terminal_size``, and argparse
+    builds a formatter for every argument it adds.  This reads the same
+    width the same way: ``COLUMNS`` if it is a positive integer, else the
+    width of the terminal on standard output, else 80; less 2.
+    """
+
+    def __init__(self, prog: str, **kwargs) -> None:
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2, **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, an input error, rather
-    than argparse's 2, which here means a failed verification."""
+    than argparse's 2, which here means a failed verification, and whose
+    help is laid out by :class:`_Formatter`, as is every subcommand's."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_Formatter, **kwargs)
 
     def error(self, message: str):
         try:

@@ -293,7 +293,11 @@ def minimal_cover(fds: FdSet) -> FdSet:
     Left-reduction scans dependencies in input order and candidate
     attributes in declared-universe order; redundancy elimination then
     scans in input order, testing each dependency against the current
-    surviving set.  Survivors keep their input order.  The cover carries
+    surviving set.  Left-reduction, with the universe's order
+    (``position``) and the map that drops exact duplicates it leaves
+    (``first``), runs only when some left-hand side has two or more
+    names; otherwise nothing is reduced, and the pairs are already
+    distinct.  Survivors keep their input order.  The cover carries
     the kernel that computed it: dropped dependencies stay in it as dead
     pairs, and survivors keep their reduced left-hand sides.
 
@@ -324,49 +328,54 @@ def minimal_cover(fds: FdSet) -> FdSet:
     is near-linear; a graph with large components can still cost Maier's
     O(|F|·‖F‖) (JACM 1980).
     """
-    position = {name: i for i, name in enumerate(fds.universe)}
     # a kernel of its own, edited below and then handed to the cover;
     # the input's cached one stays untouched
     kernel = _Kernel(fds)
     lhs_of, rhs_of, producers = kernel.lhs, kernel.rhs, kernel.producers
 
-    # seed -> its whole closure, from a walk that ended short of its goal;
-    # kept only while the next pair has the same left-hand side
-    whole: dict[frozenset[str], Set[str]] = {}
-    last = len(lhs_of) - 1
-    for i, lhs in enumerate(lhs_of):
-        if len(lhs) < 2:
-            continue
-        keep = i < last and lhs_of[i + 1] == lhs
-        rhs = rhs_of[i]
-        for attr in sorted(lhs, key=position.__getitem__):
+    # with no side of two or more names the pairs are distinct, as ``fds`` is
+    survivors: Iterable[int] = range(len(lhs_of))
+    if max(map(len, lhs_of), default=0) > 1:
+        position = {name: i for i, name in enumerate(fds.universe)}
+        # seed -> its whole closure, from a walk that ended short of its goal;
+        # kept only while the next pair has the same left-hand side
+        whole: dict[frozenset[str], Set[str]] = {}
+        last = len(lhs_of) - 1
+        for i, lhs in enumerate(lhs_of):
             if len(lhs) < 2:
-                break
-            # When this pair alone produces rhs, rhs follows from the
-            # reduced side iff the dropped attribute does.
-            goal = attr if producers[rhs] == 1 else rhs
-            if not producers[goal]:
                 continue
-            seed = lhs - {attr}
-            reach = whole.get(seed)
-            if reach is None:
-                reach = kernel.close(seed, goal)
-                if keep and goal not in reach:
-                    whole[seed] = reach
-            if goal in reach:
-                kernel.drop_lhs_attr(i, attr)
-                lhs = lhs_of[i]
-        if not keep:
-            whole.clear()
+            keep = i < last and lhs_of[i + 1] == lhs
+            rhs = rhs_of[i]
+            for attr in sorted(lhs, key=position.__getitem__):
+                if len(lhs) < 2:
+                    break
+                # When this pair alone produces rhs, rhs follows from the
+                # reduced side iff the dropped attribute does.
+                goal = attr if producers[rhs] == 1 else rhs
+                if not producers[goal]:
+                    continue
+                seed = lhs - {attr}
+                reach = whole.get(seed)
+                if reach is None:
+                    reach = kernel.close(seed, goal)
+                    if keep and goal not in reach:
+                        whole[seed] = reach
+                if goal in reach:
+                    kernel.drop_lhs_attr(i, attr)
+                    lhs = lhs_of[i]
+            if not keep:
+                whole.clear()
 
-    # exact duplicates left by the reduction: the first copy stays
-    first: dict[tuple[frozenset[str], str], int] = {}
-    for i, pair in enumerate(zip(lhs_of, rhs_of)):
-        if first.setdefault(pair, i) != i:
-            kernel.set_live(i, False)
+        # exact duplicates left by the reduction: the first copy stays
+        first: dict[tuple[frozenset[str], str], int] = {}
+        for i, pair in enumerate(zip(lhs_of, rhs_of)):
+            if first.setdefault(pair, i) != i:
+                kernel.set_live(i, False)
+        survivors = first.values()
+
     # set each survivor aside; restore it unless the others still imply it
     ranks: dict[str, int] | None = None
-    for i in first.values():
+    for i in survivors:
         rhs = rhs_of[i]
         if producers[rhs] == 1:
             continue

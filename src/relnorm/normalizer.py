@@ -22,7 +22,18 @@ from heapq import heappop, heappush
 
 from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
 from .fd_engine import FdSet, RawFd, _split, minimal_cover
-from .schema_model import SchemaList, _entry_rank, _Frozen, _Record, _setfield, _unchecked
+from .schema_model import (
+    MAX_ATTRIBUTES,
+    MAX_DETERMINERS,
+    MAX_LHS,
+    MAX_NAME_LEN,
+    AttributeNode,
+    SchemaList,
+    _Frozen,
+    _Record,
+    _setfield,
+    _unchecked,
+)
 
 
 class RawAttribute(_Frozen):
@@ -365,19 +376,56 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
 def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     """Enter a flattened relation and its cover into a fresh node sequence.
 
-    Attributes are entered in the order ``SchemaList.add_attribute``
-    requires: key attributes, then non-key attributes acting as
-    determiners in the cover, then the rest, each class stable in
-    declared order.
+    The result, and the error when one is raised, are those of
+    ``SchemaList.add_attribute`` called for each attribute in entry order
+    (key attributes, then non-key attributes acting as determiners in the
+    cover, then the rest, each class in declared order) and then
+    ``add_fd`` for each dependency in cover order.  The relation is
+    entered in one pass: a node that passes ``add_attribute``'s checks
+    (capacity, repeat, identifier, length; entry order holds by
+    construction) is appended directly, and one slot is built per
+    distinct left-hand side and stored where ``add_fd``'s checks pass.
+    Anything those tests do not accept takes the public method, which
+    stores it or rejects it with its own message.
     """
-    determiner_names: set[str] = set()
-    for fd in cover:
-        determiner_names |= fd.lhs
+    determiner_names = set().union(*[fd.lhs for fd in cover])
+    keys: list[RawAttribute] = []
+    determiners: list[RawAttribute] = []
+    rest: list[RawAttribute] = []
+    for attr in flat.attributes:
+        if attr.is_key:
+            keys.append(attr)
+        elif attr.name in determiner_names:
+            determiners.append(attr)
+        else:
+            rest.append(attr)
     schema_list = SchemaList(flat.relation_name)
-    for attr in sorted(flat.attributes, key=lambda a: _entry_rank(a.is_key, a.name in determiner_names)):
-        schema_list.add_attribute(attr.name, is_key=attr.is_key, is_det=attr.name in determiner_names)
+    nodes, by_name = schema_list.nodes, schema_list._by_name
+    for node_id, attr in enumerate((*keys, *determiners, *rest), 1):
+        name, is_key = attr.name, attr.is_key
+        is_det = name in determiner_names
+        if (
+            node_id <= MAX_ATTRIBUTES
+            and name not in by_name
+            and name.isascii()
+            and name.isidentifier()
+            and len(name) <= MAX_NAME_LEN
+        ):
+            node = by_name[name] = AttributeNode(name, is_det, node_id, [], is_key)
+            nodes.append(node)
+        else:  # rejected, with add_attribute's message
+            schema_list.add_attribute(name, is_key=is_key, is_det=is_det)
+    slots: dict[frozenset[str], frozenset[int]] = {}  # left-hand side -> its node ids
     for fd in cover:
-        schema_list.add_fd(fd)
+        lhs = fd.lhs
+        slot = slots.get(lhs)
+        if slot is None and len(lhs) <= MAX_LHS and by_name.keys() >= lhs:
+            slot = slots[lhs] = frozenset([by_name[name].node_id for name in lhs])
+        target = by_name.get(fd.rhs)
+        if slot is None or target is None or len(target.determiner_slots) >= MAX_DETERMINERS:
+            schema_list.add_fd(fd)  # a no-op for a repeated slot, else rejected with its message
+        elif slot not in target.determiner_slots:
+            target.determiner_slots.append(slot)
     return schema_list
 
 

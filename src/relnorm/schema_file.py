@@ -119,6 +119,23 @@ def parse_schema_file(text: str) -> RawSchema:
             relation = rest.strip()
             _require_names(lineno, (relation,), "relation name")
         elif head == "attr":
+            # most lines are `attr <name>` or `attr <name> key`, whose one
+            # name is also its flattened name: one test accepts them, and
+            # anything it rejects takes the general path for its message
+            tokens = rest.split()
+            if len(tokens) == 1 or len(tokens) == 2 and tokens[1] == "key":
+                name = tokens[0]
+                if (
+                    name.isascii()
+                    and name.isidentifier()
+                    and len(name) <= MAX_NAME_LEN
+                    and name not in declared
+                    and name not in flat
+                ):
+                    declared.add(name)
+                    flat.add(name)
+                    attributes.append(RawAttribute(name, len(tokens) == 2))
+                    continue
             attr = _parse_attr(lineno, rest)
             for name in (attr.name, *attr.components):
                 if name in declared:

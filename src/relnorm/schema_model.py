@@ -10,8 +10,12 @@ dependency list exists.
 Entry order is constrained: all key attributes first, then non-key
 attributes that act as determiners, then everything else.  The order is
 checked against the flags declared at insertion time, so callers that know
-the dependencies up front (see ``normalizer.build_schema_list``) get a list
-whose final flags also satisfy the ordering.
+the dependencies up front get a list whose final flags also satisfy the
+ordering.  ``normalizer.build_schema_list``, which enters a relation and
+its cover, does so in one pass: it appends each node and slot directly
+where :meth:`SchemaList.add_attribute` and :meth:`SchemaList.add_fd`
+would accept it, and leaves anything else to them, so their checks, their
+order and the layout caps hold on every path.
 
 Every record of the package, the pipeline's and the baseline's alike, is
 a plain class with ``__slots__`` on the small base defined here,
@@ -161,9 +165,9 @@ class AttributeNode(_Record):
 
     ``determiner_slots`` holds one frozenset of node ids per stored
     left-hand side, in insertion order.  Slot order carries no meaning;
-    the slots of a node form a set of id-sets.  Nodes are built only by
-    ``SchemaList.add_attribute``, after 1NF flattening, so every node is
-    atomic and no attribute kind is stored.
+    the slots of a node form a set of id-sets.  Nodes are built by
+    ``SchemaList.add_attribute`` or ``normalizer.build_schema_list``, after
+    1NF flattening, so every node is atomic and no attribute kind is stored.
     """
 
     __slots__ = _fields = ("attribute_name", "is_determiner", "node_id", "determiner_slots", "is_key_attribute")
@@ -188,12 +192,13 @@ class SchemaList(_Record):
     """Ordered attribute-node sequence for one relation.
 
     Built only by appends: a new list is empty, and ``add_attribute`` and
-    ``add_fd`` enter the relation.  Mutable while the relation is being
-    entered; treated as an immutable value afterwards.
+    ``add_fd`` enter the relation, or ``normalizer.build_schema_list``
+    appends what they would.  Mutable while the relation is being entered;
+    treated as an immutable value afterwards.
     """
 
     _fields = ("relation_name", "nodes")
-    # _by_name: name -> node, kept up to date by add_attribute; not part of the value
+    # _by_name: name -> node, kept up to date by every append; not part of the value
     __slots__ = (*_fields, "_by_name")
 
     def __init__(self, relation_name: str) -> None:

@@ -83,6 +83,13 @@ def wide_line_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def star_text(n: int) -> str:
+    """Relation ``R`` of n names: key ``k`` and one line ``fd k -> a1, ..., a(n-1)``."""
+    rest = [f"a{i}" for i in range(1, n)]
+    lines = ["relation R", "attr k key", *(f"attr {name}" for name in rest), f"fd k -> {', '.join(rest)}"]
+    return "\n".join(lines) + "\n"
+
+
 def shortcut_chain_text(n: int, seed: int) -> str:
     """a0 -> a1 -> ... -> a(n-1) plus every a_i -> a_(i+2), key a0, lines shuffled."""
     rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -16,7 +17,7 @@ from relnorm.cli import run
 from relnorm.ddl import emit_ddl
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
-from schema_helpers import FK_CYCLE_TEXT, shortcut_chain_text, wide_line_text
+from schema_helpers import FK_CYCLE_TEXT, shortcut_chain_text, star_text, wide_line_text
 
 
 def invoke(*argv):
@@ -292,6 +293,12 @@ class TestLimitDiagnostics:
         message = "relation 'R': dependency a, b, c, d, e -> z: left-hand side of size 5 exceeds MAX_LHS = 4"
         assert (code, err) == (1, f"error: {message}\n")
 
+    def test_attribute_cap_is_input_error(self, tmp_path):
+        path = tmp_path / "star9001.schema"
+        path.write_text(star_text(9001), encoding="utf-8")
+        code, out, err = invoke("normalize", str(path), "--nf", "3", "--ddl", "--verify")
+        assert (code, out, err) == (1, "", "error: relation 'R' already holds 9000 attributes\n")
+
     def test_lhs_cap_applies_to_the_cover(self, tmp_path):
         # a -> e makes e extraneous, so the cover holds a, b, c, d -> f
         doc = (
@@ -489,3 +496,15 @@ class TestUsageErrors:
             invoke("normalize", "--help")
         assert exc.value.code == 0
         assert "[--ddl | --json]" in capsys.readouterr().out
+
+    # "0" and "wide" are not positive integers, so both formatters read the
+    # terminal on standard output, or fall back to 80 columns
+    @pytest.mark.parametrize("columns", ["40", "80", "200", "0", "wide"])
+    def test_help_is_argparse_stock_layout(self, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        for each in (parser, *subparsers.values()):
+            ours = each.format_help()
+            each.formatter_class = argparse.HelpFormatter
+            assert ours == each.format_help(), each.prog

@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from oracles import fixpoint_2nf
 from relnorm.ddl import emit_ddl
 from relnorm.errors import (
+    CapacityExceeded,
     DeterminerSlotsExhausted,
     DuplicateAttribute,
     InvalidFd,
@@ -29,8 +30,9 @@ from relnorm.normalizer import (
     prepare,
     to_first_normal_form,
 )
-from relnorm.schema_model import MAX_DETERMINERS, FunctionalDependency, SchemaList
-from schema_helpers import check_invariants
+from relnorm.schema_file import parse_schema_file
+from relnorm.schema_model import MAX_ATTRIBUTES, MAX_DETERMINERS, FunctionalDependency, SchemaList
+from schema_helpers import check_invariants, star_text
 
 
 def table_sets(tables):
@@ -618,6 +620,46 @@ def flat_relations(draw):
     return flat, FdSet(tuple(fds), tuple(names))
 
 
+# the faults faulty_relations may inject, each one the node sequence rejects
+FAULTS = ("invalid name", "long name", "wide side", "fifth determiner")
+
+
+@st.composite
+def faulty_relations(draw):
+    """An atomic relation and an ``FdSet`` over it, with up to two faults
+    injected: an invalid name and a 101-character one, each at a drawn
+    place in declared order; a five-name left-hand side at a drawn place in
+    cover order; five single-name determiners of one name, spread through
+    the cover.  A faulty name may be a key or a determiner, so which fault
+    is met first depends on entry order as well as on declared order."""
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+    wide = "wide side" in faults or "fifth determiner" in faults
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=6 if wide else 1, max_value=10)))]
+    for fault, name in (("invalid name", "a-b"), ("long name", "n" * 101)):
+        if fault in faults:
+            names.insert(draw(st.integers(min_value=0, max_value=len(names))), name)
+    keys = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    keys[draw(st.integers(min_value=0, max_value=len(names) - 1))] = True
+    fds: list[FunctionalDependency] = []
+    if len(names) > 1:
+        for rhs in draw(st.lists(st.sampled_from(names), max_size=12)):
+            if sum(fd.rhs == rhs for fd in fds) < MAX_DETERMINERS:
+                others = [n for n in names if n != rhs]
+                lhs = draw(st.sets(st.sampled_from(others), min_size=1, max_size=min(3, len(others))))
+                fds.append(FunctionalDependency(frozenset(lhs), rhs))
+    added: list[FunctionalDependency] = []
+    if "wide side" in faults:
+        lhs = draw(st.lists(st.sampled_from(names), min_size=6, max_size=6, unique=True))
+        added.append(FunctionalDependency(frozenset(lhs[1:]), lhs[0]))
+    if "fifth determiner" in faults:
+        rhs, *lhs = draw(st.lists(st.sampled_from(names), min_size=6, max_size=6, unique=True))
+        added += [FunctionalDependency(frozenset([name]), rhs) for name in lhs]
+    for fd in added:
+        fds.insert(draw(st.integers(min_value=0, max_value=len(fds))), fd)
+    flat = RawSchema("R", tuple(RawAttribute(n, k) for n, k in zip(names, keys)))
+    return flat, FdSet(tuple(fds), tuple(names))
+
+
 class TestBuildSchemaList:
     @given(flat_relations())
     def test_nodes_in_entry_rank_then_declared_order(self, relation):
@@ -635,3 +677,38 @@ class TestBuildSchemaList:
         assert [n.attribute_name for n in schema_list.nodes] == [a.name for a in expected]
         assert [n.node_id for n in schema_list.nodes] == list(range(1, len(expected) + 1))
         check_invariants(schema_list)
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_relations())
+    def test_one_pass_equals_the_public_builder(self, relation):
+        # the node sequence add_attribute and add_fd build, one call per
+        # attribute in entry-rank order and then per dependency in cover order
+        flat, cover = relation
+        determiners = set().union(*(fd.lhs for fd in cover))
+        public = SchemaList(flat.relation_name)
+        try:
+            for attr in sorted(flat.attributes, key=lambda a: 0 if a.is_key else 1 if a.name in determiners else 2):
+                public.add_attribute(attr.name, is_key=attr.is_key, is_det=attr.name in determiners)
+            for fd in cover:
+                public.add_fd(fd)
+        except NormalizationError as exc:
+            event(type(exc).__name__)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                build_schema_list(flat, cover)
+            return
+        event("built")
+        schema_list = build_schema_list(flat, cover)
+        assert schema_list == public
+        check_invariants(schema_list)
+
+    def test_capacity_is_checked_in_prepare(self):
+        def star(n):  # star_text(n), built in code
+            rest = tuple(f"a{i}" for i in range(1, n))
+            return RawSchema("R", (RawAttribute("k", True), *map(RawAttribute, rest)), (RawFd(("k",), rest),))
+
+        over = star(MAX_ATTRIBUTES + 1)
+        assert over == parse_schema_file(star_text(MAX_ATTRIBUTES + 1))
+        assert len(prepare(star(MAX_ATTRIBUTES)).schema_list.nodes) == MAX_ATTRIBUTES
+        with pytest.raises(CapacityExceeded) as caught:
+            prepare(over)
+        assert str(caught.value) == "relation 'R' already holds 9000 attributes"

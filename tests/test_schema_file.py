@@ -151,6 +151,34 @@ class TestParse:
         with pytest.raises(DuplicateAttribute, match=rf"^line {line}: .*attribute '{name}' declared twice$"):
             parse_schema_file(doc)
 
+    # `attr <name>` and `attr <name> key` take a one-step path; a line that
+    # leaves it must get the general path's error
+    @pytest.mark.parametrize(
+        "lines, error, message",
+        [
+            (["attr k"], DuplicateAttribute, "line 3: attribute 'k' declared twice"),
+            (["attr name composite(first, last)", "attr last key"], DuplicateAttribute,
+             "line 4: attribute 'last' declared twice"),
+            (["attr phone multivalued", "attr phone_ID"], DuplicateAttribute,
+             "line 4: flattened attribute 'phone_ID' declared twice"),
+            (["attr x Key"], SchemaSyntaxError, "line 3: unknown attribute flag 'Key'"),
+            (["attr x key key", "attr x"], DuplicateAttribute, "line 4: attribute 'x' declared twice"),
+            ([f"attr {'n' * 101} key"], SchemaSyntaxError,
+             f"line 3: attribute name longer than 100 characters: {'n' * 20!r}..."),
+            (["attr a-b key"], SchemaSyntaxError, "line 3: invalid attribute name: 'a-b'"),
+        ],
+        ids=["repeated-attribute", "repeated-component", "repeated-flattened-name", "capitalised-flag",
+             "key-twice-then-repeat", "long-name", "invalid-name"],
+    )
+    def test_plain_attr_line_keeps_the_general_messages(self, lines, error, message):
+        with pytest.raises(error) as caught:
+            parse_schema_file("\n".join(["relation R", "attr k key", *lines, ""]))
+        assert str(caught.value) == message
+
+    def test_flag_repeated_is_one_key_flag(self):
+        once, twice = (parse_schema_file(f"relation R\nattr x {flags}\n") for flags in ("key", "key key"))
+        assert once == twice == RawSchema("R", (RawAttribute("x", True),))
+
     def test_name_of_the_maximum_length_is_accepted(self):
         name = "n" * MAX_NAME_LEN
         schema = parse_schema_file(f"relation {name}\nattr {name} key\n")

@@ -75,6 +75,8 @@ def test_command_loads_only_the_pipeline(command, flags):
     assert code == 0
     assert {m for m in modules if m.split(".")[0] == "relnorm"} == PIPELINE_MODULES
     assert ONLY_ON_USE.isdisjoint(modules)
+    # argparse's help formatter imports shutil when it is given no width
+    assert "shutil" not in modules
 
 
 def _loaded_on_use(*argv: str) -> set[str]:
