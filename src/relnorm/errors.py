@@ -15,10 +15,6 @@ class DuplicateAttribute(NormalizationError):
     """A name is declared twice: as an attribute, component or flattened name."""
 
 
-class EntryOrderViolation(NormalizationError):
-    """An append would break the key / determiner / plain entry order."""
-
-
 class CapacityExceeded(NormalizationError):
     """The relation already holds the maximum number of attributes."""
 

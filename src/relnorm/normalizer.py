@@ -20,7 +20,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from heapq import heappop, heappush
 
-from .errors import DuplicateAttribute, NoKeyDeclared, UnknownAttribute
+from .errors import (
+    CapacityExceeded,
+    DeterminerSlotsExhausted,
+    DuplicateAttribute,
+    InvalidName,
+    NoKeyDeclared,
+    UnknownAttribute,
+)
 from .fd_engine import FdSet, RawFd, _split, minimal_cover
 from .schema_model import (
     MAX_ATTRIBUTES,
@@ -31,6 +38,7 @@ from .schema_model import (
     SchemaList,
     _Frozen,
     _Record,
+    _lhs_too_large,
     _setfield,
     _unchecked,
 )
@@ -376,18 +384,23 @@ def decompose_3nf(c: Classification) -> list[TableStructure]:
 def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     """Enter a flattened relation and its cover into a fresh node sequence.
 
-    The result, and the error when one is raised, are those of
-    ``SchemaList.add_attribute`` called for each attribute in entry order
-    (key attributes, then non-key attributes acting as determiners in the
-    cover, then the rest, each class in declared order) and then
-    ``add_fd`` for each dependency in cover order.  The relation is
-    entered in one pass: a node that passes ``add_attribute``'s checks
-    (capacity, repeat, identifier, length; entry order holds by
-    construction) is appended directly, and one slot is built per
-    distinct left-hand side and stored where ``add_fd``'s checks pass.
-    Anything those tests do not accept takes the public method, which
-    stores it or rejects it with its own message.
+    The nodes come in entry order: key attributes, then non-key attributes
+    acting as determiners in the cover, then the rest, each class in
+    declared order, with ids 1..n.  Then each dependency, in cover order,
+    stores the ids of its left-hand side as a slot of its dependent; a slot
+    the dependent already holds is not stored again.
+
+    The first fault met in that order is raised.  A node is rejected past
+    ``MAX_ATTRIBUTES`` (:class:`CapacityExceeded`), then for a name outside
+    the grammar and then for one longer than ``MAX_NAME_LEN``
+    (:class:`InvalidName`).  A dependency is rejected for a dependent
+    outside the relation (:class:`UnknownAttribute`), then for a left-hand
+    side wider than ``MAX_LHS`` (:class:`LhsTooLarge`), then for a
+    determiner outside the relation, and, unless its slot is held already,
+    for a fifth slot (:class:`DeterminerSlotsExhausted`).  ``flat`` repeats
+    no name, since :class:`RawSchema` rejects one.
     """
+    relation = flat.relation_name
     determiner_names = set().union(*[fd.lhs for fd in cover])
     keys: list[RawAttribute] = []
     determiners: list[RawAttribute] = []
@@ -399,34 +412,40 @@ def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
             determiners.append(attr)
         else:
             rest.append(attr)
-    schema_list = SchemaList(flat.relation_name)
-    nodes, by_name = schema_list.nodes, schema_list._by_name
+    nodes: list[AttributeNode] = []
+    by_name: dict[str, AttributeNode] = {}
     for node_id, attr in enumerate((*keys, *determiners, *rest), 1):
-        name, is_key = attr.name, attr.is_key
-        is_det = name in determiner_names
-        if (
-            node_id <= MAX_ATTRIBUTES
-            and name not in by_name
-            and name.isascii()
-            and name.isidentifier()
-            and len(name) <= MAX_NAME_LEN
-        ):
-            node = by_name[name] = AttributeNode(name, is_det, node_id, [], is_key)
-            nodes.append(node)
-        else:  # rejected, with add_attribute's message
-            schema_list.add_attribute(name, is_key=is_key, is_det=is_det)
+        name = attr.name
+        if node_id > MAX_ATTRIBUTES:
+            raise CapacityExceeded(f"relation {relation!r} already holds {MAX_ATTRIBUTES} attributes")
+        if not (name.isascii() and name.isidentifier()):
+            raise InvalidName(f"not a valid attribute name: {name!r}")
+        if len(name) > MAX_NAME_LEN:
+            raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
+        node = by_name[name] = AttributeNode(name, name in determiner_names, node_id, [], attr.is_key)
+        nodes.append(node)
     slots: dict[frozenset[str], frozenset[int]] = {}  # left-hand side -> its node ids
     for fd in cover:
+        target = by_name.get(fd.rhs)
+        if target is None:
+            raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
         lhs = fd.lhs
         slot = slots.get(lhs)
-        if slot is None and len(lhs) <= MAX_LHS and by_name.keys() >= lhs:
-            slot = slots[lhs] = frozenset([by_name[name].node_id for name in lhs])
-        target = by_name.get(fd.rhs)
-        if slot is None or target is None or len(target.determiner_slots) >= MAX_DETERMINERS:
-            schema_list.add_fd(fd)  # a no-op for a repeated slot, else rejected with its message
-        elif slot not in target.determiner_slots:
-            target.determiner_slots.append(slot)
-    return schema_list
+        if slot is None:
+            if len(lhs) > MAX_LHS:
+                raise _lhs_too_large(relation, fd)
+            try:
+                slot = slots[lhs] = frozenset([by_name[name].node_id for name in lhs])
+            except KeyError as missing:
+                raise UnknownAttribute(f"determiner attribute {missing.args[0]!r} not in relation") from None
+        held = target.determiner_slots
+        if slot not in held:
+            if len(held) >= MAX_DETERMINERS:
+                raise DeterminerSlotsExhausted(
+                    f"relation {relation!r}: attribute {fd.rhs!r} already has {MAX_DETERMINERS} determiners"
+                )
+            held.append(slot)
+    return SchemaList(relation, nodes)
 
 
 class PipelineState(_Frozen):

@@ -35,16 +35,18 @@ from collections.abc import Sequence
 from .errors import DuplicateAttribute, SchemaSyntaxError, UnknownAttribute
 from .fd_engine import RawFd
 from .normalizer import RawAttribute, RawSchema, _require_key
-from .schema_model import MAX_NAME_LEN, _is_identifier, _unchecked
+from .schema_model import MAX_NAME_LEN, _unchecked
 
 _COMPONENTS = re.compile(r"composite\(([^()]*)\)")
 
 
 def _require_names(lineno: int, names: Sequence[str], what: str) -> None:
     """Raise on the first of ``names`` that is not an identifier of at
-    most ``MAX_NAME_LEN`` characters."""
+    most ``MAX_NAME_LEN`` characters.  The grammar, ``[A-Za-z_][A-Za-z0-9_]*``,
+    and the length cap are tested apart, so that each fault gets its own
+    message."""
     for name in names:
-        if not _is_identifier(name):
+        if not (name.isascii() and name.isidentifier()):
             raise SchemaSyntaxError(lineno, f"invalid {what}: {name!r}")
         if len(name) > MAX_NAME_LEN:
             raise SchemaSyntaxError(lineno, f"{what} longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
@@ -91,7 +93,7 @@ def _parse_name_list(lineno: int, text: str, what: str) -> tuple[str, ...]:
     if not all(parts):
         raise SchemaSyntaxError(lineno, f"malformed {what} list: {text.strip()!r}")
     _require_names(lineno, parts, f"{what} attribute")
-    return tuple(dict.fromkeys(parts))
+    return tuple(parts)
 
 
 def parse_schema_file(text: str) -> RawSchema:

@@ -7,15 +7,12 @@ left-hand side that determines this attribute.  Attribute list and
 dependency structure therefore live in a single container; no separate
 dependency list exists.
 
-Entry order is constrained: all key attributes first, then non-key
-attributes that act as determiners, then everything else.  The order is
-checked against the flags declared at insertion time, so callers that know
-the dependencies up front get a list whose final flags also satisfy the
-ordering.  ``normalizer.build_schema_list``, which enters a relation and
-its cover, does so in one pass: it appends each node and slot directly
-where :meth:`SchemaList.add_attribute` and :meth:`SchemaList.add_fd`
-would accept it, and leaves anything else to them, so their checks, their
-order and the layout caps hold on every path.
+Entry order is fixed: all key attributes first, then non-key attributes
+that act as determiners, then everything else, and node ids run 1..n in
+that order.  ``normalizer.build_schema_list`` is the only builder: it
+enters a relation and its cover in that order and raises the first fault
+against the layout caps and the name grammar.  This module holds the
+caps, the records and the cell model.
 
 Every record of the package, the pipeline's and the baseline's alike, is
 a plain class with ``__slots__`` on the small base defined here,
@@ -30,16 +27,7 @@ cell model read off this layout (:func:`memory_cells_single`,
 
 from __future__ import annotations
 
-from .errors import (
-    CapacityExceeded,
-    DeterminerSlotsExhausted,
-    DuplicateAttribute,
-    EntryOrderViolation,
-    InvalidFd,
-    InvalidName,
-    LhsTooLarge,
-    UnknownAttribute,
-)
+from .errors import InvalidFd, LhsTooLarge
 
 # The node layout: four determiner slots of up to four ids each.
 MAX_DETERMINERS = 4
@@ -52,12 +40,6 @@ NAME_CELL = 50
 FLAG_CELL = 1
 ID_CELL = 4
 LINK_CELL = 4
-
-
-def _is_identifier(name: str) -> bool:
-    """The name grammar, ``[A-Za-z_][A-Za-z0-9_]*``; the length cap is
-    checked apart, so that each fault gets its own message."""
-    return name.isascii() and name.isidentifier()
 
 
 # how a frozen record's __init__ and _unchecked set a field past the
@@ -166,8 +148,8 @@ class AttributeNode(_Record):
     ``determiner_slots`` holds one frozenset of node ids per stored
     left-hand side, in insertion order.  Slot order carries no meaning;
     the slots of a node form a set of id-sets.  Nodes are built by
-    ``SchemaList.add_attribute`` or ``normalizer.build_schema_list``, after
-    1NF flattening, so every node is atomic and no attribute kind is stored.
+    ``normalizer.build_schema_list``, after 1NF flattening, so every node
+    is atomic and no attribute kind is stored.
     """
 
     __slots__ = _fields = ("attribute_name", "is_determiner", "node_id", "determiner_slots", "is_key_attribute")
@@ -181,98 +163,15 @@ def _lhs_too_large(relation_name: str, fd: FunctionalDependency) -> LhsTooLarge:
     )
 
 
-def _entry_rank(is_key: bool, is_det: bool) -> int:
-    # key attributes < non-key determiners < the rest
-    if is_key:
-        return 0
-    return 1 if is_det else 2
-
-
 class SchemaList(_Record):
     """Ordered attribute-node sequence for one relation.
 
-    Built only by appends: a new list is empty, and ``add_attribute`` and
-    ``add_fd`` enter the relation, or ``normalizer.build_schema_list``
-    appends what they would.  Mutable while the relation is being entered;
-    treated as an immutable value afterwards.
+    ``normalizer.build_schema_list`` builds it from a relation and its
+    cover, and checks the layout caps as it does.  Treated as an immutable
+    value once built.
     """
 
-    _fields = ("relation_name", "nodes")
-    # _by_name: name -> node, kept up to date by every append; not part of the value
-    __slots__ = (*_fields, "_by_name")
-
-    def __init__(self, relation_name: str) -> None:
-        self.relation_name = relation_name
-        self.nodes: list[AttributeNode] = []
-        self._by_name: dict[str, AttributeNode] = {}
-
-    def add_attribute(self, name: str, *, is_key: bool = False, is_det: bool = False) -> int:
-        """Append one attribute at the tail and return its node id.
-
-        Ids run 1..n in entry order; a rejected append takes no id.  The
-        append is rejected when the declared flags would place the node
-        before an earlier entry class, and for an empty, malformed or
-        over-long name.
-        """
-        nodes = self.nodes
-        if len(nodes) >= MAX_ATTRIBUTES:
-            raise CapacityExceeded(
-                f"relation {self.relation_name!r} already holds {MAX_ATTRIBUTES} attributes"
-            )
-        if name in self._by_name:
-            raise DuplicateAttribute(f"attribute {name!r} already present in {self.relation_name!r}")
-        if nodes:
-            last = nodes[-1]
-            if _entry_rank(is_key, is_det) < _entry_rank(last.is_key_attribute, last.is_determiner):
-                raise EntryOrderViolation(
-                    f"cannot append {name!r}: key attributes, then non-key determiners, "
-                    "then remaining attributes"
-                )
-        if not _is_identifier(name):
-            raise InvalidName(f"not a valid attribute name: {name!r}")
-        if len(name) > MAX_NAME_LEN:
-            raise InvalidName(f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}...")
-        node = AttributeNode(
-            attribute_name=name,
-            is_determiner=is_det,
-            node_id=len(nodes) + 1,
-            determiner_slots=[],
-            is_key_attribute=is_key,
-        )
-        nodes.append(node)
-        self._by_name[name] = node
-        return node.node_id
-
-    def add_fd(self, fd: FunctionalDependency) -> None:
-        """Store one dependency into the dependent node's first free slot.
-
-        Re-adding an identical dependency is a no-op.  A fifth distinct
-        determiner for one attribute is rejected, as is a left-hand side
-        wider than ``MAX_LHS``.
-        """
-        by_name = self._by_name
-        target = by_name.get(fd.rhs)
-        if target is None:
-            raise UnknownAttribute(f"dependent attribute {fd.rhs!r} not in relation")
-        if len(fd.lhs) > MAX_LHS:
-            raise _lhs_too_large(self.relation_name, fd)
-        determiners = []
-        for name in fd.lhs:
-            node = by_name.get(name)
-            if node is None:
-                raise UnknownAttribute(f"determiner attribute {name!r} not in relation")
-            determiners.append(node)
-        slot = frozenset(node.node_id for node in determiners)
-        if slot in target.determiner_slots:
-            return
-        if len(target.determiner_slots) >= MAX_DETERMINERS:
-            raise DeterminerSlotsExhausted(
-                f"relation {self.relation_name!r}: "
-                f"attribute {fd.rhs!r} already has {MAX_DETERMINERS} determiners"
-            )
-        target.determiner_slots.append(slot)
-        for node in determiners:
-            node.is_determiner = True
+    __slots__ = _fields = ("relation_name", "nodes")
 
 
 def memory_cells_single(schema_list: SchemaList) -> int:

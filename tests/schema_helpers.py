@@ -2,13 +2,17 @@
 schema documents that more than one test module or the CI workflow reads.
 
 The checks read a :class:`~relnorm.schema_model.SchemaList`'s fields
-directly, so the model keeps no API that nothing but the tests reaches.
+directly, and node sequences are built by the package's one builder,
+``build_schema_list``, so the model keeps no API that nothing but the
+tests reaches.
 Each document has one generator here, and the workflow writes its files
 by calling it, so CI runs the text the tests parse.
 """
 
 import random
 
+from relnorm.fd_engine import FdSet
+from relnorm.normalizer import RawAttribute, RawSchema, build_schema_list
 from relnorm.schema_model import (
     MAX_ATTRIBUTES,
     MAX_DETERMINERS,
@@ -24,9 +28,21 @@ def FD(lhs, rhs: str) -> FunctionalDependency:
     return FunctionalDependency(frozenset(lhs), rhs)
 
 
+def build_list(keys, others=(), fds=(), relation_name: str = "R") -> SchemaList:
+    """``build_schema_list`` over relation ``relation_name``, whose key
+    attributes ``keys`` come before the non-key ``others`` in declared
+    order, with ``FdSet(fds)`` as its cover.  The cover's universe also
+    holds the names ``fds`` mention outside the relation, so that the
+    build, not ``FdSet``, meets them."""
+    attributes = (*(RawAttribute(name, True) for name in keys), *map(RawAttribute, others))
+    names = [attr.name for attr in attributes]
+    names += sorted({name for fd in fds for name in (*fd.lhs, fd.rhs)}.difference(names))
+    return build_schema_list(RawSchema(relation_name, attributes), FdSet(tuple(fds), tuple(names)))
+
+
 def find_node(sl: SchemaList, name: str) -> AttributeNode | None:
-    """The node named ``name``, through the list's name index."""
-    return sl._by_name.get(name)
+    """The node named ``name``, or None."""
+    return next((node for node in sl.nodes if node.attribute_name == name), None)
 
 
 def stored_fds(sl: SchemaList) -> list[FunctionalDependency]:
@@ -43,13 +59,10 @@ def check_invariants(sl: SchemaList) -> None:
     """Raise AssertionError if any structural invariant is broken.
 
     The entry order (key attributes, then non-key determiners, then the
-    rest) is checked against the final determiner flags; lists whose
-    determiner flags were declared accurately at entry (the loader's
-    lists) satisfy it.
+    rest) is checked against the final determiner flags.
     """
     names = [n.attribute_name for n in sl.nodes]
     assert len(names) == len(set(names)), "duplicate attribute names"
-    assert sl._by_name == {n.attribute_name: n for n in sl.nodes}, "stale name index"
     ids = [n.node_id for n in sl.nodes]
     assert ids == list(range(1, len(ids) + 1)), "node ids not 1..n in entry order"
     assert len(sl.nodes) <= MAX_ATTRIBUTES

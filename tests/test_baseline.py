@@ -18,16 +18,14 @@ from relnorm.baseline import (
 from relnorm.errors import LhsTooLarge, UnknownAttribute
 from relnorm.normalizer import RawAttribute, decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
-from relnorm.schema_model import FunctionalDependency, SchemaList
+from relnorm.schema_model import AttributeNode, FunctionalDependency, SchemaList
 from schema_helpers import FD
 
 
 def single_list_with(n_attrs):
-    sl = SchemaList("R")
-    sl.add_attribute("k0", is_key=True)
-    for i in range(1, n_attrs):
-        sl.add_attribute(f"x{i}")
-    return sl
+    nodes = [AttributeNode("k0", False, 1, [], True)]
+    nodes += [AttributeNode(f"x{i}", False, i + 1, [], False) for i in range(1, n_attrs)]
+    return SchemaList("R", nodes)
 
 
 def two_list_with(n_attrs, n_fds):
@@ -42,7 +40,7 @@ class TestMemoryModel:
         assert memory_cells_single(single_list_with(7)) == 875
 
     def test_single_empty(self):
-        assert memory_cells_single(SchemaList("R")) == 0
+        assert memory_cells_single(SchemaList("R", [])) == 0
 
     def test_single_gh_sized(self):
         assert memory_cells_single(single_list_with(12)) == 1500

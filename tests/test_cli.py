@@ -15,6 +15,7 @@ import relnorm
 from relnorm import cli, corpus
 from relnorm.cli import run
 from relnorm.ddl import emit_ddl
+from relnorm.fd_engine import RawFd
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
 from schema_helpers import FK_CYCLE_TEXT, shortcut_chain_text, star_text, wide_line_text
@@ -189,6 +190,29 @@ class TestNormalize:
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_a_name_repeated_on_a_side_counts_once(self, tmp_path):
+        # the parser keeps both sides as written; the split drops the repeats
+        head = "relation R\nattr a key\nattr b\nattr c\nfd b -> c\n"
+        once, twice = (parse_schema_file(head + f"fd {line}\n") for line in ("a -> b", "a, a -> b, b"))
+        assert twice.declared_fds[1] == RawFd(("a", "a"), ("b", "b"))
+        assert (prepare(twice).split, prepare(twice).cover) == (prepare(once).split, prepare(once).cover)
+        path = tmp_path / "R.schema"
+        outputs = []
+        for line in ("a -> b", "a, a -> b, b"):
+            path.write_text(head + f"fd {line}\n", encoding="utf-8")
+            outputs.append(
+                [
+                    invoke(command, str(path), *flags)
+                    for command, *flags in (
+                        ["verify"],
+                        ["normalize", "--nf", "3", "--ddl", "--verify"],
+                        ["normalize", "--nf", "2", "--json", "--verify"],
+                    )
+                ]
+            )
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1][0] == 0
 
 
 # runs each command on each path named in argv and prints the list of

@@ -22,8 +22,8 @@ from oracles import (
 )
 from relnorm import fd_engine, verifier
 from relnorm.fd_engine import FdSet, closure, implies, minimal_cover
-from relnorm.normalizer import TableStructure
-from relnorm.schema_model import FunctionalDependency, SchemaList
+from relnorm.normalizer import RawAttribute, RawSchema, TableStructure, build_schema_list
+from relnorm.schema_model import FunctionalDependency
 from relnorm.verifier import is_lossless, preserves_dependencies, scan_violations
 from schema_helpers import stored_fds
 
@@ -193,20 +193,11 @@ def test_schema_list_round_trips_a_cover(fds):
     """Referential integrity plus slot reconstruction after a random build."""
     cover = minimal_cover(fds)
     per_dependent = {}
-    determiners = set()
     for fd in cover:
-        determiners |= fd.lhs
         per_dependent[fd.rhs] = per_dependent.get(fd.rhs, 0) + 1
     assume(not per_dependent or max(per_dependent.values()) <= 4)
-    sl = SchemaList("R")
-    ordered = sorted(fds.universe, key=lambda n: (n not in determiners, fds.universe.index(n)))
-    first = ordered[0]
-    sl.add_attribute(first, is_key=True, is_det=first in determiners)
-    for name in ordered[1:]:
-        # keep determiners ahead of the rest; the single key stays first
-        sl.add_attribute(name, is_det=name in determiners)
-    for fd in cover:
-        sl.add_fd(fd)
+    attributes = tuple(RawAttribute(name, name == fds.universe[0]) for name in fds.universe)
+    sl = build_schema_list(RawSchema("R", attributes), cover)
     got = {(fd.lhs, fd.rhs) for fd in stored_fds(sl)}
     expected = {(fd.lhs, fd.rhs) for fd in cover}
     assert got == expected

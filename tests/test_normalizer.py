@@ -31,8 +31,16 @@ from relnorm.normalizer import (
     to_first_normal_form,
 )
 from relnorm.schema_file import parse_schema_file
-from relnorm.schema_model import MAX_ATTRIBUTES, MAX_DETERMINERS, FunctionalDependency, SchemaList
-from schema_helpers import check_invariants, star_text
+from relnorm.schema_model import (
+    MAX_ATTRIBUTES,
+    MAX_DETERMINERS,
+    MAX_LHS,
+    MAX_NAME_LEN,
+    AttributeNode,
+    FunctionalDependency,
+    SchemaList,
+)
+from schema_helpers import FD, build_list, check_invariants, star_text
 
 
 def table_sets(tables):
@@ -176,17 +184,14 @@ class TestAttributeInfo:
         assert classified(c) == {"e_id", "e_s_name", "j_class", "CHPH"}
 
     def test_all_key_relation(self):
-        sl = SchemaList("R")
-        sl.add_attribute("a", is_key=True)
-        sl.add_attribute("b", is_key=True)
-        c = classify(sl)
+        c = classify(build_list("ab"))
         assert c.a1 == ("a", "b")
         assert c.a2 == c.a3 == ()
         assert c.prime_attributes == ("a", "b")
 
     def test_no_key(self):
-        sl = SchemaList("R")
-        sl.add_attribute("a")
+        # a relation without a key cannot be built, so this list is made by hand
+        sl = SchemaList("R", [AttributeNode("a", False, 1, [], False)])
         with pytest.raises(NoKeyDeclared):
             classify(sl)
 
@@ -621,21 +626,26 @@ def flat_relations(draw):
 
 
 # the faults faulty_relations may inject, each one the node sequence rejects
-FAULTS = ("invalid name", "long name", "wide side", "fifth determiner")
+FAULTS = ("invalid name", "long name", "wide side", "fifth determiner", "unknown name")
 
 
 @st.composite
 def faulty_relations(draw):
     """An atomic relation and an ``FdSet`` over it, with up to two faults
-    injected: an invalid name and a 101-character one, each at a drawn
-    place in declared order; a five-name left-hand side at a drawn place in
-    cover order; five single-name determiners of one name, spread through
-    the cover.  A faulty name may be a key or a determiner, so which fault
-    is met first depends on entry order as well as on declared order."""
+    injected: an invalid name and a 101-character one, valid or not, each
+    at a drawn place in declared order; a five-name left-hand side at a
+    drawn place in cover order; five single-name determiners of one name,
+    spread through the cover; ``ghost``, a name of the cover's universe
+    outside the relation, as the dependent or a determiner of one
+    dependency the other fault added, or else of a new one.  A faulty name
+    may be a key or a determiner, so which fault is met first depends on
+    entry order as well as on declared order."""
     faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
     wide = "wide side" in faults or "fifth determiner" in faults
     names = [f"n{i}" for i in range(draw(st.integers(min_value=6 if wide else 1, max_value=10)))]
-    for fault, name in (("invalid name", "a-b"), ("long name", "n" * 101)):
+    # one long name is off the grammar too, so that the two name checks meet
+    long_name = draw(st.sampled_from(["n" * 101, "-" * 101]))
+    for fault, name in (("invalid name", "a-b"), ("long name", long_name)):
         if fault in faults:
             names.insert(draw(st.integers(min_value=0, max_value=len(names))), name)
     keys = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
@@ -649,15 +659,72 @@ def faulty_relations(draw):
                 fds.append(FunctionalDependency(frozenset(lhs), rhs))
     added: list[FunctionalDependency] = []
     if "wide side" in faults:
-        lhs = draw(st.lists(st.sampled_from(names), min_size=6, max_size=6, unique=True))
-        added.append(FunctionalDependency(frozenset(lhs[1:]), lhs[0]))
+        rhs, *lhs = draw(st.lists(st.sampled_from(names), min_size=6, max_size=6, unique=True))
+        added.append(FunctionalDependency(frozenset(lhs), rhs))
     if "fifth determiner" in faults:
         rhs, *lhs = draw(st.lists(st.sampled_from(names), min_size=6, max_size=6, unique=True))
         added += [FunctionalDependency(frozenset([name]), rhs) for name in lhs]
+    if "unknown name" in faults:
+        # ghost in place of a name of a dependency the other fault added, so
+        # that two faults meet in one dependency, else in a new one
+        if added:
+            i = draw(st.integers(min_value=0, max_value=len(added) - 1))
+            lhs, rhs = sorted(added[i].lhs), added[i].rhs
+            if draw(st.booleans()):
+                rhs = "ghost"
+            else:
+                lhs[draw(st.integers(min_value=0, max_value=len(lhs) - 1))] = "ghost"
+            added[i] = FunctionalDependency(frozenset(lhs), rhs)
+        else:
+            other = draw(st.sampled_from(names))
+            pair = (FunctionalDependency(frozenset([other]), "ghost"), FunctionalDependency(frozenset(["ghost"]), other))
+            added.append(draw(st.sampled_from(pair)))
     for fd in added:
         fds.insert(draw(st.integers(min_value=0, max_value=len(fds))), fd)
     flat = RawSchema("R", tuple(RawAttribute(n, k) for n, k in zip(names, keys)))
-    return flat, FdSet(tuple(fds), tuple(names))
+    universe = (*names, "ghost") if "unknown name" in faults else tuple(names)
+    return flat, FdSet(tuple(fds), universe)
+
+
+def entered_one_fact_at_a_time(flat, cover):
+    """The node sequence, or the first fault as ``(type, message)``, of a
+    sequential model of the layout: each attribute in entry order (keys,
+    then non-key determiners, then the rest, each in declared order) is
+    checked and appended, then each dependency in cover order."""
+    relation = flat.relation_name
+    determiners = set().union(*(fd.lhs for fd in cover))
+    entry = sorted(flat.attributes, key=lambda a: 0 if a.is_key else 1 if a.name in determiners else 2)
+    nodes: dict[str, AttributeNode] = {}
+    for attr in entry:
+        name = attr.name
+        if len(nodes) == MAX_ATTRIBUTES:
+            return CapacityExceeded, f"relation {relation!r} already holds {MAX_ATTRIBUTES} attributes"
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            return InvalidName, f"not a valid attribute name: {name!r}"
+        if len(name) > MAX_NAME_LEN:
+            return InvalidName, f"attribute name longer than {MAX_NAME_LEN} characters: {name[:20]!r}..."
+        nodes[name] = AttributeNode(name, name in determiners, len(nodes) + 1, [], attr.is_key)
+    for fd in cover:
+        if fd.rhs not in nodes:
+            return UnknownAttribute, f"dependent attribute {fd.rhs!r} not in relation"
+        if len(fd.lhs) > MAX_LHS:
+            return LhsTooLarge, (
+                f"relation {relation!r}: dependency {', '.join(sorted(fd.lhs))} -> {fd.rhs}: "
+                f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
+            )
+        for name in fd.lhs:
+            if name not in nodes:
+                return UnknownAttribute, f"determiner attribute {name!r} not in relation"
+        slot = frozenset(nodes[name].node_id for name in fd.lhs)
+        held = nodes[fd.rhs].determiner_slots
+        if slot in held:
+            continue
+        if len(held) == MAX_DETERMINERS:
+            return DeterminerSlotsExhausted, (
+                f"relation {relation!r}: attribute {fd.rhs!r} already has {MAX_DETERMINERS} determiners"
+            )
+        held.append(slot)
+    return SchemaList(relation, list(nodes.values()))
 
 
 class TestBuildSchemaList:
@@ -680,26 +747,45 @@ class TestBuildSchemaList:
 
     @settings(max_examples=300, deadline=None)
     @given(faulty_relations())
-    def test_one_pass_equals_the_public_builder(self, relation):
-        # the node sequence add_attribute and add_fd build, one call per
-        # attribute in entry-rank order and then per dependency in cover order
+    def test_raises_the_first_fault_in_entry_then_cover_order(self, relation):
         flat, cover = relation
-        determiners = set().union(*(fd.lhs for fd in cover))
-        public = SchemaList(flat.relation_name)
-        try:
-            for attr in sorted(flat.attributes, key=lambda a: 0 if a.is_key else 1 if a.name in determiners else 2):
-                public.add_attribute(attr.name, is_key=attr.is_key, is_det=attr.name in determiners)
-            for fd in cover:
-                public.add_fd(fd)
-        except NormalizationError as exc:
-            event(type(exc).__name__)
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                build_schema_list(flat, cover)
+        expected = entered_one_fact_at_a_time(flat, cover)
+        if isinstance(expected, SchemaList):
+            event("built")
+            schema_list = build_schema_list(flat, cover)
+            assert schema_list == expected
+            check_invariants(schema_list)
             return
-        event("built")
-        schema_list = build_schema_list(flat, cover)
-        assert schema_list == public
-        check_invariants(schema_list)
+        error, message = expected
+        event(error.__name__)
+        with pytest.raises(error) as caught:
+            build_schema_list(flat, cover)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "others, fds, error, message",
+        [
+            (["-" * 101], [], InvalidName, f"not a valid attribute name: {'-' * 101!r}"),
+            (list("abcd"), [FD("kabcd", "ghost")], UnknownAttribute, "dependent attribute 'ghost' not in relation"),
+            (
+                list("abcd"),
+                [FD(["ghost", *"abcd"], "k")],
+                LhsTooLarge,
+                "relation 'R': dependency a, b, c, d, ghost -> k: left-hand side of size 5 exceeds MAX_LHS = 4",
+            ),
+            (
+                list("abcde"),
+                [*(FD(n, "e") for n in "kabc"), FD(["ghost"], "e")],
+                UnknownAttribute,
+                "determiner attribute 'ghost' not in relation",
+            ),
+        ],
+        ids=["grammar-before-length", "dependent-before-width", "width-before-determiner", "determiner-before-cap"],
+    )
+    def test_two_faults_in_one_fact(self, others, fds, error, message):
+        with pytest.raises(error) as caught:
+            build_list("k", others, fds)
+        assert str(caught.value) == message
 
     def test_capacity_is_checked_in_prepare(self):
         def star(n):  # star_text(n), built in code

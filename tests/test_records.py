@@ -26,15 +26,11 @@ from relnorm.normalizer import (
 from relnorm.schema_file import parse_schema_file
 from relnorm.schema_model import AttributeNode, FunctionalDependency, SchemaList, _Record, _unchecked
 from relnorm.verifier import Violation, ViolationKind
-from schema_helpers import FD
+from schema_helpers import FD, build_list
 
 
 def schema_list() -> SchemaList:
-    out = SchemaList("R")
-    out.add_attribute("a", is_key=True, is_det=True)
-    out.add_attribute("b")
-    out.add_fd(FD("a", "b"))
-    return out
+    return build_list("a", "b", [FD("a", "b")])
 
 
 def state(text: str) -> PipelineState:
@@ -148,21 +144,14 @@ def test_equal_only_on_type_and_fields(cls):
         assert one != other and other != one, name
 
 
-# every record's constructor takes its fields in order, but a SchemaList's:
-# it is built by appends, so it takes only the name and starts with no nodes
-by_fields = pytest.mark.parametrize(
-    "cls", [cls for cls in CASES if cls is not SchemaList], ids=lambda cls: cls.__name__
-)
-
-
-@by_fields
+@records
 def test_constructor_takes_the_fields_in_order(cls):
     one = CASES[cls][0]()
     assert cls(**fields_of(one)) == one
     assert cls(*fields_of(one).values()) == one
 
 
-@by_fields
+@records
 def test_constructor_names_itself_when_a_field_is_missing(cls):
     # the first field, since some constructors give the last ones defaults
     fields = fields_of(CASES[cls][0]())
@@ -243,14 +232,6 @@ def test_repr(cls):
         return
     shown = ", ".join(f"{name}={value!r}" for name, value in fields_of(one).items())
     assert repr(one) == f"{cls.__name__}({shown})"
-
-
-def test_schema_list_hides_its_index():
-    one, two = schema_list(), schema_list()
-    two._by_name = {}
-    assert one == two
-    assert "_by_name" not in repr(one)
-    assert repr(one).startswith("SchemaList(relation_name='R', nodes=[AttributeNode(attribute_name='a', ")
 
 
 def test_table_gets_a_fresh_foreign_key_list():

@@ -4,35 +4,42 @@ from relnorm.errors import (
     CapacityExceeded,
     DeterminerSlotsExhausted,
     DuplicateAttribute,
-    EntryOrderViolation,
     InvalidFd,
     InvalidName,
     LhsTooLarge,
     UnknownAttribute,
 )
+from relnorm.fd_engine import FdSet
+from relnorm.normalizer import RawAttribute, RawSchema, build_schema_list
 from relnorm.schema_model import (
     MAX_ATTRIBUTES,
     SchemaList,
+    _unchecked,
 )
-from schema_helpers import FD, check_invariants, find_node, stored_fds
+from schema_helpers import FD, build_list, check_invariants, find_node, stored_fds
+
+EMPLOYEE = (["e_id"], ["e_s_name", "j_class", "CHPH"])
 
 
-def employee_list_in_source_order() -> SchemaList:
-    # e_id, e_s_name, j_class, CHPH entered as declared; determiner flags
-    # start false for the non-keys and are set by the dependency adds.
-    sl = SchemaList("Employee")
-    sl.add_attribute("e_id", is_key=True, is_det=True)
-    sl.add_attribute("e_s_name")
-    sl.add_attribute("j_class")
-    sl.add_attribute("CHPH")
-    return sl
+def employee(*fds) -> SchemaList:
+    # e_id, e_s_name, j_class, CHPH as declared; a non-key that determines
+    # something in ``fds`` moves ahead of the other non-keys
+    return build_list(*EMPLOYEE, fds, relation_name="Employee")
+
+
+def build_repeating(keys, others, fds) -> SchemaList:
+    """The build over a cover that holds each of ``fds`` twice, which only
+    an ``FdSet`` built without its checks can: ``FdSet`` drops a repeat."""
+    attributes = (*(RawAttribute(name, True) for name in keys), *map(RawAttribute, others))
+    twice = tuple(fd for fd in fds for _ in range(2))
+    universe = tuple(attr.name for attr in attributes)
+    return build_schema_list(RawSchema("R", attributes), _unchecked(FdSet, fds=twice, universe=universe))
 
 
 class TestCreateNode:
-    # nodes are made only by appends; these check the node add_attribute builds
+    # nodes are made only by build_schema_list; these check the nodes it builds
     def test_first_key_node(self):
-        sl = SchemaList("R")
-        sl.add_attribute("e_id", is_key=True, is_det=True)
+        sl = build_list(["e_id"], ["x"], [FD(["e_id"], "x")])
         node = sl.nodes[0]
         assert node.attribute_name == "e_id"
         assert node.is_determiner is True
@@ -41,103 +48,52 @@ class TestCreateNode:
         assert node.is_key_attribute is True
 
     def test_plain_node_defaults(self):
-        sl = SchemaList("R")
-        sl.add_attribute("x")
-        node = sl.nodes[0]
+        node = build_list(["k"], ["x"]).nodes[1]
         assert node.is_key_attribute is False
         assert node.is_determiner is False
         assert node.determiner_slots == []
 
     def test_name_too_long(self):
-        sl = SchemaList("R")
         with pytest.raises(InvalidName, match="longer than 100 characters"):
-            sl.add_attribute("a" * 101)
-        assert sl.nodes == []
+            build_list(["k"], ["a" * 101])
         # exactly at the limit is fine
-        sl.add_attribute("a" * 100)
+        assert build_list(["k"], ["a" * 100]).nodes[1].attribute_name == "a" * 100
 
     @pytest.mark.parametrize("bad", ["", "1abc", "a-b", "a b", "a.b"])
     def test_illegal_names(self, bad):
-        sl = SchemaList("R")
         with pytest.raises(InvalidName, match="not a valid attribute name"):
-            sl.add_attribute(bad)
-        assert sl.nodes == []
+            build_list(["k"], [bad])
 
 
 class TestAddAttribute:
+    # attributes entered by build_schema_list
     def test_ids_run_from_one(self):
-        sl = SchemaList("R")
-        sl.add_attribute("a", is_key=True)
-        sl.add_attribute("b", is_key=True)
-        for name in "cdefg":
-            sl.add_attribute(name)
+        sl = build_list("ab", "cdefg")
         assert [n.node_id for n in sl.nodes] == [1, 2, 3, 4, 5, 6, 7]
 
-    def test_rejected_append_takes_no_id(self):
-        sl = SchemaList("R")
-        assert sl.add_attribute("k", is_key=True) == 1
-        with pytest.raises(DuplicateAttribute):
-            sl.add_attribute("k")
-        assert sl.add_attribute("x") == 2
-        with pytest.raises(EntryOrderViolation):
-            sl.add_attribute("k2", is_key=True)
-        with pytest.raises(InvalidName):
-            sl.add_attribute("no-dash")
-        assert sl.add_attribute("y") == 3
-        assert [n.node_id for n in sl.nodes] == [1, 2, 3]
-        check_invariants(sl)
-
-    def test_nodes_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            SchemaList("R", nodes=[])
-        with pytest.raises(TypeError):
-            SchemaList("R", node_id_counter=100)
-
     def test_append_to_empty_list(self):
-        sl = SchemaList("R")
-        sl.add_attribute("head", is_key=True)
+        sl = build_list(["head"])
         assert sl.nodes[0].attribute_name == "head"
 
-    def test_key_after_non_key_rejected(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        sl.add_attribute("x")
-        with pytest.raises(EntryOrderViolation):
-            sl.add_attribute("k2", is_key=True)
-
-    def test_determiner_after_plain_rejected(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        sl.add_attribute("plain")
-        with pytest.raises(EntryOrderViolation):
-            sl.add_attribute("det", is_det=True)
-
     def test_duplicate_name_rejected(self):
-        sl = SchemaList("R")
-        sl.add_attribute("a", is_key=True)
+        # a relation cannot hold a repeated name, so no node sequence meets one
         with pytest.raises(DuplicateAttribute):
-            sl.add_attribute("a")
+            build_list(["a"], ["a"])
 
     def test_capacity(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        for i in range(1, MAX_ATTRIBUTES):
-            sl.add_attribute(f"a{i}")
+        others = [f"a{i}" for i in range(1, MAX_ATTRIBUTES + 1)]
+        sl = build_list(["k"], others[:-1])
         assert len(sl.nodes) == MAX_ATTRIBUTES == 9000
-        with pytest.raises(CapacityExceeded, match="already holds 9000 attributes"):
-            sl.add_attribute("z")
+        with pytest.raises(CapacityExceeded) as caught:
+            build_list(["k"], others)
+        assert str(caught.value) == "relation 'R' already holds 9000 attributes"
 
 
 class TestAddFd:
+    # dependencies stored by build_schema_list
     def test_multi_determiner_slots(self):
         # A..G as determiners of H, ids 1..7.
-        sl = SchemaList("demo")
-        for name in "ABCDEFG":
-            sl.add_attribute(name, is_det=True)
-        sl.add_attribute("H")
-        sl.add_fd(FD("ABCD", "H"))
-        sl.add_fd(FD("EF", "H"))
-        sl.add_fd(FD("G", "H"))
+        sl = build_list("A", "BCDEFGH", [FD("ABCD", "H"), FD("EF", "H"), FD("G", "H")], relation_name="demo")
         h = find_node(sl, "H")
         assert h.determiner_slots == [
             frozenset({1, 2, 3, 4}),
@@ -146,99 +102,60 @@ class TestAddFd:
         ]
 
     def test_employee_first_fd(self):
-        sl = employee_list_in_source_order()
-        sl.add_fd(FD(["e_id"], "e_s_name"))
+        sl = employee(FD(["e_id"], "e_s_name"))
         assert find_node(sl, "e_s_name").determiner_slots == [frozenset({1})]
 
     def test_employee_all_fds(self):
-        sl = employee_list_in_source_order()
-        for rhs in ("e_s_name", "j_class", "CHPH"):
-            sl.add_fd(FD(["e_id"], rhs))
-        sl.add_fd(FD(["j_class"], "CHPH"))
-        assert find_node(sl, "CHPH").determiner_slots == [frozenset({1}), frozenset({3})]
-        assert find_node(sl, "j_class").is_determiner is True
+        sl = employee(*(FD(["e_id"], rhs) for rhs in ("e_s_name", "j_class", "CHPH")), FD(["j_class"], "CHPH"))
+        j_class = find_node(sl, "j_class")
+        assert j_class.node_id == 2  # the one non-key determiner, entered ahead of e_s_name
+        assert find_node(sl, "CHPH").determiner_slots == [frozenset({1}), frozenset({2})]
+        assert j_class.is_determiner is True
 
     def test_fifth_determiner_rejected(self):
-        sl = SchemaList("R")
-        for name in "abcde":
-            sl.add_attribute(name, is_det=True)
-        sl.add_attribute("z")
-        for name in "abcd":
-            sl.add_fd(FD([name], "z"))
-        with pytest.raises(DeterminerSlotsExhausted):
-            sl.add_fd(FD(["e"], "z"))
+        with pytest.raises(DeterminerSlotsExhausted) as caught:
+            build_list("a", "bcdez", [FD([name], "z") for name in "abcde"])
+        assert str(caught.value) == "relation 'R': attribute 'z' already has 4 determiners"
 
     def test_duplicate_fd_is_noop(self):
-        sl = employee_list_in_source_order()
-        sl.add_fd(FD(["e_id"], "e_s_name"))
-        sl.add_fd(FD(["e_id"], "e_s_name"))
+        sl = build_repeating(*EMPLOYEE, [FD(["e_id"], "e_s_name")])
         assert find_node(sl, "e_s_name").determiner_slots == [frozenset({1})]
+        # a repeat of a held slot is no fifth determiner
+        sl = build_repeating("a", "bcdz", [FD([name], "z") for name in "abcd"])
+        assert find_node(sl, "z").determiner_slots == [frozenset({i}) for i in range(1, 5)]
 
     def test_wide_lhs_rejected(self):
-        sl = SchemaList("R")
-        for name in "abcde":
-            sl.add_attribute(name, is_det=True)
-        sl.add_attribute("z")
-        with pytest.raises(LhsTooLarge):
-            sl.add_fd(FD("abcde", "z"))
+        with pytest.raises(LhsTooLarge) as caught:
+            build_list("a", "bcdez", [FD("abcde", "z")])
+        assert str(caught.value) == (
+            "relation 'R': dependency a, b, c, d, e -> z: left-hand side of size 5 exceeds MAX_LHS = 4"
+        )
 
     def test_unknown_names_rejected(self):
-        sl = employee_list_in_source_order()
-        with pytest.raises(UnknownAttribute):
-            sl.add_fd(FD(["nope"], "CHPH"))
-        with pytest.raises(UnknownAttribute):
-            sl.add_fd(FD(["e_id"], "nope"))
+        with pytest.raises(UnknownAttribute, match="^determiner attribute 'nope' not in relation$"):
+            employee(FD(["nope"], "CHPH"))
+        with pytest.raises(UnknownAttribute, match="^dependent attribute 'nope' not in relation$"):
+            employee(FD(["e_id"], "nope"))
 
 
 class TestFindNode:
     def test_finds_by_name(self):
-        sl = employee_list_in_source_order()
-        node = find_node(sl, "j_class")
+        node = find_node(employee(), "j_class")
         assert node is not None and node.node_id == 3
 
     def test_absent_on_empty(self):
-        assert find_node(SchemaList("R"), "x") is None
+        assert find_node(SchemaList("R", []), "x") is None
 
     def test_matches_positional_scan(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        for name in "uvwxyz":
-            sl.add_attribute(name)
+        sl = build_list("k", "uvwxyz")
         for node in sl.nodes:
             assert find_node(sl, node.attribute_name) is node
-
-    def test_index_is_not_part_of_the_value(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        bare = SchemaList("R")
-        bare.nodes.extend(sl.nodes)  # the same nodes behind an empty index
-        assert bare == sl
-        assert repr(bare) == repr(sl)
-        assert "_by_name" not in repr(sl)
-
-    def test_invariants_catch_a_node_added_behind_the_index(self):
-        sl = SchemaList("R")
-        sl.add_attribute("k", is_key=True)
-        other = SchemaList("S")
-        other.add_attribute("k", is_key=True)
-        other.add_attribute("v")
-        sl.nodes.append(other.nodes[1])
-        with pytest.raises(AssertionError, match="name index"):
-            check_invariants(sl)
 
 
 class TestInvariants:
     def test_stored_fds_reconstruct_input(self):
-        sl = SchemaList("R")
-        sl.add_attribute("a", is_key=True)
-        sl.add_attribute("b", is_key=True)
-        sl.add_attribute("d", is_det=True)
-        for name in "cefg":
-            sl.add_attribute(name)
         fds = [FD("ab", "c"), FD("ab", "d"), FD("b", "e"), FD("d", "f"), FD("d", "g")]
-        for fd in fds:
-            sl.add_fd(fd)
-            sl.add_fd(fd)  # dedup keeps the multiset equal
+        sl = build_repeating("ab", "cdefg", fds)  # a repeated slot is stored once
         assert sorted(map(repr, stored_fds(sl))) == sorted(map(repr, fds))
         check_invariants(sl)
 
@@ -249,7 +166,5 @@ class TestInvariants:
             FD([], "a")
 
     def test_counter_is_per_list(self):
-        first = SchemaList("R1")
-        first.add_attribute("a", is_key=True)
-        second = SchemaList("R2")
-        assert second.add_attribute("a", is_key=True) == 1
+        build_list("a", relation_name="R1")
+        assert build_list("a", relation_name="R2").nodes[0].node_id == 1
