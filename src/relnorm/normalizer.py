@@ -104,8 +104,13 @@ def _distinct(relation_name: str, names: list[str]) -> set[str]:
     """The set of ``names``; raises DuplicateAttribute when one repeats."""
     known = set(names)
     if len(known) != len(names):
-        dupes = sorted({name for name in names if names.count(name) > 1})
-        raise DuplicateAttribute(f"duplicate attribute names in {relation_name!r}: {dupes}")
+        seen: set[str] = set()
+        dupes: set[str] = set()
+        for name in names:
+            if name in seen:
+                dupes.add(name)
+            seen.add(name)
+        raise DuplicateAttribute(f"duplicate attribute names in {relation_name!r}: {sorted(dupes)}")
     return known
 
 
@@ -396,9 +401,10 @@ def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
     (:class:`InvalidName`).  A dependency is rejected for a dependent
     outside the relation (:class:`UnknownAttribute`), then for a left-hand
     side wider than ``MAX_LHS`` (:class:`LhsTooLarge`), then for a
-    determiner outside the relation, and, unless its slot is held already,
-    for a fifth slot (:class:`DeterminerSlotsExhausted`).  ``flat`` repeats
-    no name, since :class:`RawSchema` rejects one.
+    determiner outside the relation (the first such name in sorted order),
+    and, unless its slot is held already, for a fifth slot
+    (:class:`DeterminerSlotsExhausted`).  ``flat`` repeats no name, since
+    :class:`RawSchema` rejects one.
     """
     relation = flat.relation_name
     determiner_names = set().union(*[fd.lhs for fd in cover])
@@ -436,8 +442,9 @@ def build_schema_list(flat: RawSchema, cover: FdSet) -> SchemaList:
                 raise _lhs_too_large(relation, fd)
             try:
                 slot = slots[lhs] = frozenset([by_name[name].node_id for name in lhs])
-            except KeyError as missing:
-                raise UnknownAttribute(f"determiner attribute {missing.args[0]!r} not in relation") from None
+            except KeyError:
+                missing = min(name for name in lhs if name not in by_name)
+                raise UnknownAttribute(f"determiner attribute {missing!r} not in relation") from None
         held = target.determiner_slots
         if slot not in held:
             if len(held) >= MAX_DETERMINERS:

@@ -1,12 +1,13 @@
 """Builders and checks on the node sequence that only the tests use, and
-schema documents that more than one test module or the CI workflow reads.
+schema documents that more than one test reads.
 
 The checks read a :class:`~relnorm.schema_model.SchemaList`'s fields
 directly, and node sequences are built by the package's one builder,
 ``build_schema_list``, so the model keeps no API that nothing but the
 tests reaches.
-Each document has one generator here, and the workflow writes its files
-by calling it, so CI runs the text the tests parse.
+Each document has one generator here, and the tests that run the CLI in
+a fresh process write its files by calling it, so those processes read
+the text the in-process tests parse.
 """
 
 import random

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -18,13 +19,28 @@ from relnorm.ddl import emit_ddl
 from relnorm.fd_engine import RawFd
 from relnorm.normalizer import decompose_2nf, decompose_3nf, prepare
 from relnorm.schema_file import parse_schema_file
-from schema_helpers import FK_CYCLE_TEXT, shortcut_chain_text, star_text, wide_line_text
+from schema_helpers import FK_CYCLE_TEXT, lossy_pairs_text, shortcut_chain_text, star_text, wide_line_text
 
 
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+SRC = str(Path(relnorm.__file__).parents[1])
+
+
+def fresh(*args, cwd=None, timeout=60, **env):
+    """``invoke``'s triple for a new ``python -S -W error <args>`` process
+    on this checkout's package.  ``-S`` keeps site-packages off its path,
+    so a third-party import in the package fails although pytest is
+    installed; ``-W error`` fails on any warning this Python raises."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", *args],
+        capture_output=True, text=True, cwd=cwd, timeout=timeout, env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture()
@@ -181,11 +197,13 @@ class TestNormalize:
 
     def test_error_after_synthesis_leaves_stdout_empty(self, tmp_path):
         # none of the tables built before emit_ddl finds the cycle may reach
-        # stdout ahead of the error
+        # stdout ahead of the error, also in a real process, whose stdout a
+        # script reads
         path = tmp_path / "cycle.schema"
         path.write_text(FK_CYCLE_TEXT, encoding="utf-8")
         expected = (1, "", "error: foreign keys form a cycle among: x2_x1, x2_x0\n")
         assert invoke("normalize", str(path), "--nf", "3", "--ddl") == expected
+        assert fresh("-m", "relnorm", "normalize", str(path), "--nf", "3", "--ddl") == expected
 
     def test_determinism_byte_for_byte(self, beer_path):
         runs = [invoke("normalize", beer_path, "--nf", "3", "--json") for _ in range(2)]
@@ -215,18 +233,23 @@ class TestNormalize:
         assert outputs[0][1][0] == 0
 
 
-# runs each command on each path named in argv and prints the list of
-# (exit code, stdout, stderr)
+def first_difference(a: str, b: str) -> tuple[str | None, str | None] | None:
+    """The first pair of unequal lines of ``a`` and ``b``, or None.  A
+    failed ``==`` on two long texts would be diffed for minutes."""
+    return next(((x, y) for x, y in zip_longest(a.splitlines(), b.splitlines()) if x != y), None)
+
+
+# runs each command on each path named in argv and prints, one line per
+# run, the repr of (file name, command, exit code, stdout, stderr)
 RUN_EACH_COMMAND = """
-import io, sys
+import io, os, sys
 from relnorm.cli import run
-results = []
+shapes = [["verify"], *(["normalize", "--nf", nf, fmt, "--verify"] for nf in "23" for fmt in ("--ddl", "--json"))]
 for path in sys.argv[1:]:
-    for flags in (["verify"], ["normalize", "--nf", "3", "--ddl", "--verify"], ["normalize", "--nf", "2", "--json", "--verify"]):
+    for flags in shapes:
         out, err = io.StringIO(), io.StringIO()
         code = run([flags[0], path, *flags[1:]], stdout=out, stderr=err)
-        results.append((code, out.getvalue(), err.getvalue()))
-print(repr(results))
+        print(repr((os.path.basename(path), " ".join(flags), code, out.getvalue(), err.getvalue())))
 """
 
 
@@ -244,15 +267,49 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         paths.append(str(path))
     outputs = []
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONPATH": str(Path(relnorm.__file__).parents[1]), "PYTHONHASHSEED": seed}
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", RUN_EACH_COMMAND, *paths],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    codes = [code for code, _, _ in ast.literal_eval(outputs[0])]
-    assert codes == [0] * (3 * len(paths))
+        code, out, err = fresh("-c", RUN_EACH_COMMAND, *paths, timeout=120, PYTHONHASHSEED=seed)
+        assert code == 0, err
+        outputs.append(out)
+    assert first_difference(*outputs) is None
+    codes = [ast.literal_eval(line)[2] for line in outputs[0].splitlines()]
+    assert codes == [0] * (5 * len(paths))
+
+
+def test_largest_relation_runs_in_time_and_free_of_the_hash_seed(tmp_path):
+    # 8999 names, one below MAX_ATTRIBUTES, through parse, cover, both
+    # decompositions, DDL and the oracles: a stage turned quadratic again
+    # runs past the timeout.  Two processes, since one has one hash seed.
+    path = tmp_path / "chain.schema"
+    path.write_text(shortcut_chain_text(8999, 8999), encoding="utf-8")
+    argv = ("-m", "relnorm", "normalize", str(path), "--nf", "3", "--ddl", "--verify")
+    runs = [fresh(*argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+    assert first_difference(runs[0][1], runs[1][1]) is None
+
+
+# runs `verify` on argv[1] in a child and prints its exit code, its stdout
+# and its peak RSS in MB; a process's RUSAGE_CHILDREN covers every child it
+# has waited for, so the test process's own would count every earlier test's
+PEAK_RSS_OF_VERIFY = """
+import resource, subprocess, sys
+argv = [sys.executable, "-S", "-W", "error", "-m", "relnorm", "verify", sys.argv[1]]
+run = subprocess.run(argv, capture_output=True, text=True)
+print(repr((run.returncode, run.stdout, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)))
+"""
+
+
+def test_chase_at_the_cap_stays_sparse(tmp_path):
+    # the 3NF tables keep the key's table apart from the 4499 pairs
+    # x_i <-> y_i, so the chase decides the loss; a dense tableau of
+    # tables x names would take some 660 MB
+    path = tmp_path / "lossy.schema"
+    path.write_text(lossy_pairs_text(4499), encoding="utf-8")
+    code, out, err = fresh("-c", PEAK_RSS_OF_VERIFY, str(path))
+    assert code == 0, err
+    code, out, peak_mb = ast.literal_eval(out)
+    assert code == 2
+    assert "3NF: lossless: false, dependencies preserved: true, violations: 0" in out.splitlines()
+    assert peak_mb < 200
 
 
 class TestVerifyCommand:
@@ -318,10 +375,14 @@ class TestLimitDiagnostics:
         assert (code, err) == (1, f"error: {message}\n")
 
     def test_attribute_cap_is_input_error(self, tmp_path):
+        # met after the parse and the cover have run at 9001 names; a real
+        # process must leave its stdout empty too
         path = tmp_path / "star9001.schema"
         path.write_text(star_text(9001), encoding="utf-8")
-        code, out, err = invoke("normalize", str(path), "--nf", "3", "--ddl", "--verify")
-        assert (code, out, err) == (1, "", "error: relation 'R' already holds 9000 attributes\n")
+        argv = ("normalize", str(path), "--nf", "3", "--ddl", "--verify")
+        expected = (1, "", "error: relation 'R' already holds 9000 attributes\n")
+        assert invoke(*argv) == expected
+        assert fresh("-m", "relnorm", *argv) == expected
 
     def test_lhs_cap_applies_to_the_cover(self, tmp_path):
         # a -> e makes e extraneous, so the cover holds a, b, c, d -> f
@@ -351,6 +412,14 @@ class TestBenchCommand:
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 11  # header + ten relations
         assert lines[0].startswith("relation,attrs,fds,")
+        # the one real process that writes a file.  -X dev reports a file
+        # left unclosed as a ResourceWarning, which a finalizer writes to
+        # stderr with exit 0 even under -W error.  Run outside the checkout,
+        # it must find the corpus next to the package.
+        real_csv = tmp_path / "real.csv"
+        code, _, err = fresh("-X", "dev", "-m", "relnorm", "bench", "--reps", "1", "--csv", str(real_csv), cwd=tmp_path)
+        assert (code, err) == (0, "")
+        assert real_csv.read_text(encoding="utf-8").splitlines()[0] == lines[0]
 
     def test_bad_reps(self):
         code, _, err = invoke("bench", "--reps", "0")
@@ -363,10 +432,11 @@ class TestBenchCommand:
 
 
 class TestCorpusCommand:
-    def test_list_names_all_ten(self):
+    def test_list_names_all_ten(self, tmp_path):
         code, out, _ = invoke("corpus", "list")
         assert code == 0
         assert out.splitlines() == list(corpus.corpus_names())
+        assert fresh("-X", "dev", "-m", "relnorm", "corpus", "list", cwd=tmp_path) == (0, out, "")
 
 
 BUNDLED_LINES = [
@@ -485,7 +555,7 @@ class TestBrokenPipe:
     def test_process_exits_1_quietly(self, unbuffered, beer_path):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = {**os.environ, "PYTHONPATH": str(Path(relnorm.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "relnorm", "verify", beer_path],

@@ -136,6 +136,14 @@ class TestFirstNormalForm:
                 ),
             )
 
+    def test_repeats_named_once_each_in_sorted_order(self):
+        # one pass over 9000 names, not a count per name
+        others = [*(f"a{i}" for i in range(8997)), "a5", "a17"]
+        attributes = (RawAttribute("k", True), *map(RawAttribute, others))
+        with pytest.raises(DuplicateAttribute) as caught:
+            RawSchema("R", attributes)
+        assert str(caught.value) == "duplicate attribute names in 'R': ['a17', 'a5']"
+
     def test_multivalued_rename_collision(self):
         raw = RawSchema(
             "R",
@@ -712,7 +720,7 @@ def entered_one_fact_at_a_time(flat, cover):
                 f"relation {relation!r}: dependency {', '.join(sorted(fd.lhs))} -> {fd.rhs}: "
                 f"left-hand side of size {len(fd.lhs)} exceeds MAX_LHS = {MAX_LHS}"
             )
-        for name in fd.lhs:
+        for name in sorted(fd.lhs):
             if name not in nodes:
                 return UnknownAttribute, f"determiner attribute {name!r} not in relation"
         slot = frozenset(nodes[name].node_id for name in fd.lhs)

@@ -137,6 +137,12 @@ class TestAddFd:
         with pytest.raises(UnknownAttribute, match="^dependent attribute 'nope' not in relation$"):
             employee(FD(["e_id"], "nope"))
 
+    def test_first_unknown_determiner_in_sorted_order(self):
+        # not the side's frozenset order, which follows the hash seed
+        with pytest.raises(UnknownAttribute) as caught:
+            build_list("k", "z", [FD([f"ghost{i}" for i in range(4)], "z")])
+        assert str(caught.value) == "determiner attribute 'ghost0' not in relation"
+
 
 class TestFindNode:
     def test_finds_by_name(self):
